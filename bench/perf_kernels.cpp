@@ -413,9 +413,9 @@ void write_obs_kernels_json() {
 /// n in {64, 256, 1024, 4096} nodes, written to BENCH_sparse.json. Each
 /// row times: the from-scratch dense reference (solve_uncached), a cold
 /// sparse solve (CSR assembly + factorization + solve), and the
-/// steady-state cached sparse solve under slow EM drift — plus which
-/// engine ran and how many CG iterations it spent. The acceptance bar is
-/// the 64x64 row: cold sparse must beat dense by >= 10x.
+/// steady-state cached sparse solve under slow EM drift — plus how many
+/// CG iterations it spent. The acceptance bar is the 64x64 row: cold
+/// sparse must beat dense by >= 10x.
 void write_sparse_json() {
   struct Row {
     std::size_t side = 0;
@@ -424,7 +424,6 @@ void write_sparse_json() {
     double sparse_cold_ms = 0.0;
     double sparse_cached_ms = 0.0;
     double speedup_cold = 0.0;
-    const char* method = "";
     std::size_t cg_iterations = 0;
   };
   std::vector<Row> rows;
@@ -470,7 +469,6 @@ void write_sparse_json() {
                            kCachedReps;
     row.speedup_cold =
         row.sparse_cold_ms > 0.0 ? row.dense_ms / row.sparse_cold_ms : 0.0;
-    row.method = to_string(grid.solver_method());
     row.cg_iterations = grid.solve_stats().cg_iterations;
     rows.push_back(row);
   }
@@ -480,8 +478,8 @@ void write_sparse_json() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     json << "    {\"grid\": \"" << row.side << "x" << row.side
-         << "\", \"nodes\": " << row.nodes << ", \"method\": \""
-         << row.method << "\", \"dense_ms\": " << row.dense_ms
+         << "\", \"nodes\": " << row.nodes
+         << ", \"dense_ms\": " << row.dense_ms
          << ", \"sparse_cold_ms\": " << row.sparse_cold_ms
          << ", \"sparse_cached_ms\": " << row.sparse_cached_ms
          << ", \"speedup_cold\": " << row.speedup_cold
@@ -493,9 +491,9 @@ void write_sparse_json() {
                          json.str());
   for (const Row& row : rows) {
     std::printf(
-        "BENCH_sparse %2zux%-2zu (%4zu nodes, %-15s): dense %9.3f ms, "
+        "BENCH_sparse %2zux%-2zu (%4zu nodes): dense %9.3f ms, "
         "sparse cold %7.3f ms (%.0fx), cached %7.3f ms, cg_iters %zu\n",
-        row.side, row.side, row.nodes, row.method, row.dense_ms,
+        row.side, row.side, row.nodes, row.dense_ms,
         row.sparse_cold_ms, row.speedup_cold, row.sparse_cached_ms,
         row.cg_iterations);
   }

@@ -36,42 +36,6 @@ double pivot_floor(const CsrMatrix& a) {
 
 }  // namespace
 
-TridiagonalCholesky::TridiagonalCholesky(const CsrMatrix& a) {
-  DH_REQUIRE(a.rows() == a.cols(),
-             "tridiagonal factorization requires a square matrix");
-  DH_REQUIRE(a.bandwidth() <= 1,
-             "tridiagonal factorization requires bandwidth <= 1");
-  const std::size_t n = a.rows();
-  d_.resize(n);
-  l_.resize(n > 0 ? n - 1 : 0);
-  const double floor = pivot_floor(a);
-  double prev_d = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double di = a.at(i, i);
-    if (i > 0) {
-      const double e = a.at(i, i - 1);
-      const double li = e / prev_d;
-      l_[i - 1] = li;
-      di -= li * e;
-    }
-    if (!(di > floor) || !std::isfinite(di)) {
-      raise_not_spd("tridiagonal LDL^T", i, n, di);
-    }
-    d_[i] = di;
-    prev_d = di;
-  }
-}
-
-void TridiagonalCholesky::solve(std::span<const double> b,
-                                std::vector<double>& x) const {
-  const std::size_t n = d_.size();
-  DH_REQUIRE(b.size() == n, "tridiagonal solve dimension mismatch");
-  x.assign(b.begin(), b.end());
-  for (std::size_t i = 1; i < n; ++i) x[i] -= l_[i - 1] * x[i - 1];
-  for (std::size_t i = 0; i < n; ++i) x[i] /= d_[i];
-  for (std::size_t i = n - 1; i-- > 0;) x[i] -= l_[i] * x[i + 1];
-}
-
 BandedCholesky::BandedCholesky(const CsrMatrix& a)
     : n_(a.rows()), band_(a.bandwidth()) {
   DH_REQUIRE(a.rows() == a.cols(),

@@ -1,10 +1,8 @@
-// Sparse-direct factorizations for small SPD systems: an LDL^T
-// tridiagonal factor (1-D chains: single-row grids, Korhonen-style
-// stencils) and a banded Cholesky (rows x cols meshes have bandwidth
-// min(rows, cols), so small grids factor in O(n b^2) and solve in
-// O(n b) — tiny grids stay as fast as, or faster than, the dense LU they
-// replace). Both are Preconditioners, so a stale direct factor can drive
-// the drift-refinement PCG exactly like a stale IC(0) factor.
+// Sparse-direct factorization for small SPD systems: a banded Cholesky
+// (a rows x cols mesh numbered row-major has bandwidth cols, so small
+// grids factor in O(n b^2) and solve in O(n b) — as fast as, or faster
+// than, the dense LU it replaces). It is a Preconditioner, so a stale
+// factor can drive the drift-refinement PCG against a drifted operator.
 #pragma once
 
 #include <cstddef>
@@ -15,24 +13,6 @@
 #include "common/math/sparse/csr.hpp"
 
 namespace dh::math::sparse {
-
-/// LDL^T factorization of an SPD tridiagonal matrix (bandwidth <= 1).
-class TridiagonalCholesky final : public Preconditioner {
- public:
-  /// Throws dh::Error when the matrix is wider than tridiagonal or a
-  /// pivot is non-positive (not SPD / singular).
-  explicit TridiagonalCholesky(const CsrMatrix& a);
-
-  void solve(std::span<const double> b, std::vector<double>& x) const;
-  void apply(std::span<const double> r,
-             std::vector<double>& z) const override {
-    solve(r, z);
-  }
-
- private:
-  std::vector<double> d_;  // positive pivots
-  std::vector<double> l_;  // n-1 unit-lower multipliers
-};
 
 /// Cholesky factorization of an SPD band matrix, storing only the lower
 /// band: L(i, i-k) for k in [0, band].

@@ -42,17 +42,6 @@ struct PdnParams {
   Ohms pad_resistance{0.05};
   /// Pad nodes; empty = the four corners.
   std::vector<std::size_t> pad_nodes;
-  /// Relative per-segment resistance drift that forces the cached sparse
-  /// factorization (IC(0) or direct Cholesky, see math::sparse::SpdSolver)
-  /// to be rebuilt. Between refactorizations the stale factor
-  /// preconditions a conjugate-gradient solve against the *true*
-  /// conductances, so accuracy does not depend on the tolerance — only
-  /// the CG iteration count does. EM drift is slow, so most solves are a
-  /// handful of preconditioned iterations. Set to 0 to refactorize every
-  /// time resistances change at all.
-  double refactor_tolerance = 0.05;
-  /// Engine tuning (direct-vs-CG threshold, CG tolerances).
-  math::sparse::SpdSolverOptions solver;
 };
 
 /// Counters for the cached IR solver (see PdnGrid::solve).
@@ -62,8 +51,8 @@ struct PdnSolveStats {
   /// CG iterations spent refining against stale (drifted) factors — the
   /// sparse successor of the dense cache's iterative-refinement sweeps.
   std::size_t refinement_iterations = 0;
-  /// Total preconditioned-CG iterations across all solves (exact solves
-  /// on the IC(0) path plus every drift-refinement iteration).
+  /// Total preconditioned-CG iterations across all solves (refinement of
+  /// exact solves on aged grids plus every drift-refinement iteration).
   std::size_t cg_iterations = 0;
 };
 
@@ -97,12 +86,12 @@ class PdnGrid {
   /// `segment_resistance` allows aged overrides (same order as segments).
   ///
   /// Runs on the sparse engine (common/math/sparse): the CSR conductance
-  /// matrix is factorized — tridiagonal/banded Cholesky for small grids,
-  /// IC(0) for large ones — and the factor is cached until any segment
-  /// resistance drifts more than `params.refactor_tolerance` (relative);
-  /// in between, the stale factor preconditions a CG solve against the
-  /// true conductances (applied matrix-free), so the answer matches a
-  /// fresh dense solve to ~1e-12 while costing only a few iterations.
+  /// matrix gets a banded Cholesky factor, cached until any segment
+  /// resistance drifts more than 5% (relative) from the resistances it
+  /// was built from. In between, the stale factor preconditions a CG
+  /// solve against the true conductances (applied matrix-free), so the
+  /// answer matches a fresh dense solve to ~1e-12 while costing only a
+  /// few iterations.
   ///
   /// The cache makes this method non-reentrant: a PdnGrid instance must
   /// not be solved from two threads at once (parallel sweeps give each
@@ -116,11 +105,6 @@ class PdnGrid {
   [[nodiscard]] PdnSolution solve_uncached(
       std::span<const double> load_amps,
       std::span<const double> segment_resistance) const;
-
-  /// Engine the cached solver is using (or will use: derived from the
-  /// grid structure before the first solve). kDenseLu means the sparse
-  /// factorization broke down and the guard tests should fail.
-  [[nodiscard]] math::sparse::SpdMethod solver_method() const;
 
   /// Counters for the cached solver (how often it actually refactorized).
   [[nodiscard]] const PdnSolveStats& solve_stats() const {

@@ -9,43 +9,54 @@
 
 namespace dh::thermal {
 
-ThermalGrid::ThermalGrid(ThermalGridParams params) : params_(params) {
-  DH_REQUIRE(params_.rows >= 1 && params_.cols >= 1, "grid must be non-empty");
-  DH_REQUIRE(params_.vertical_g_w_per_k > 0.0,
+namespace {
+
+ThermalGridParams validated(ThermalGridParams p) {
+  DH_REQUIRE(p.rows >= 1 && p.cols >= 1, "grid must be non-empty");
+  DH_REQUIRE(p.vertical_g_w_per_k > 0.0,
              "package conductance must be positive");
-  power_.assign(tile_count(), 0.0);
-  temp_rise_.assign(tile_count(), 0.0);
-  build_conductance();
+  // The lateral conductance k * t must be positive too, or the Laplacian
+  // is not SPD and the factorization would fail with a pivot error.
+  DH_REQUIRE(p.k_silicon_w_per_mk > 0.0,
+             "silicon thermal conductivity must be positive");
+  DH_REQUIRE(p.die_thickness.value() > 0.0, "die thickness must be positive");
+  return p;
+}
+
+math::sparse::CsrMatrix conductance(const ThermalGridParams& p) {
+  const std::size_t n = p.rows * p.cols;
+  // 5-point stencil: vertical escape on the diagonal, lateral coupling
+  // k * (w * t) / w = k * t to each mesh neighbour.
+  math::sparse::CsrBuilder builder(n, n, 5);
+  const double g_lat = p.k_silicon_w_per_mk * p.die_thickness.value();
+  for (std::size_t r = 0; r < p.rows; ++r) {
+    for (std::size_t c = 0; c < p.cols; ++c) {
+      const std::size_t i = r * p.cols + c;
+      builder.add_diagonal(i, p.vertical_g_w_per_k);
+      if (r + 1 < p.rows) builder.add_edge(i, i + p.cols, g_lat);
+      if (c + 1 < p.cols) builder.add_edge(i, i + 1, g_lat);
+    }
+  }
+  return builder.build();
+}
+
+}  // namespace
+
+ThermalGrid::ThermalGrid(ThermalGridParams params)
+    : params_(validated(params)),
+      steady_(conductance(params_)),
+      power_(tile_count(), 0.0),
+      temp_rise_(tile_count(), 0.0) {
+  ++stats_.factorizations;
+  static obs::Counter& factorizations =
+      obs::registry().counter("thermal.solve.factorizations");
+  factorizations.add();
 }
 
 std::size_t ThermalGrid::index(std::size_t row, std::size_t col) const {
   DH_REQUIRE(row < params_.rows && col < params_.cols,
              "tile coordinates out of range");
   return row * params_.cols + col;
-}
-
-void ThermalGrid::build_conductance() {
-  const std::size_t n = tile_count();
-  // 5-point stencil: vertical escape on the diagonal, lateral coupling
-  // k * (w * t) / w = k * t to each mesh neighbour.
-  math::sparse::CsrBuilder builder(n, n, 5);
-  const double g_lat =
-      params_.k_silicon_w_per_mk * params_.die_thickness.value();
-  for (std::size_t r = 0; r < params_.rows; ++r) {
-    for (std::size_t c = 0; c < params_.cols; ++c) {
-      const std::size_t i = r * params_.cols + c;
-      builder.add_diagonal(i, params_.vertical_g_w_per_k);
-      if (r + 1 < params_.rows) builder.add_edge(i, i + params_.cols, g_lat);
-      if (c + 1 < params_.cols) builder.add_edge(i, i + 1, g_lat);
-    }
-  }
-  g_ = builder.build();
-  steady_ = std::make_unique<math::sparse::SpdSolver>(g_, params_.solver);
-  ++stats_.factorizations;
-  static obs::Counter& factorizations =
-      obs::registry().counter("thermal.solve.factorizations");
-  factorizations.add();
-  transient_.clear();
 }
 
 void ThermalGrid::set_power(std::size_t tile, Watts p) {
@@ -56,72 +67,17 @@ void ThermalGrid::set_power(std::size_t tile, Watts p) {
 
 void ThermalGrid::set_power_map(std::span<const double> watts) {
   DH_REQUIRE(watts.size() == tile_count(), "power map size mismatch");
-  for (std::size_t i = 0; i < watts.size(); ++i) {
-    DH_REQUIRE(watts[i] >= 0.0, "power must be non-negative");
-    power_[i] = watts[i];
+  // Check the whole map before applying any of it, so a rejected map
+  // leaves the previous one intact.
+  for (const double w : watts) {
+    DH_REQUIRE(w >= 0.0, "power must be non-negative");
   }
+  std::copy(watts.begin(), watts.end(), power_.begin());
 }
 
 void ThermalGrid::solve_steady() {
   ++stats_.steady_solves;
-  temp_rise_ = steady_->solve(power_);
-}
-
-const math::sparse::SpdSolver& ThermalGrid::transient_solver(double dt) {
-  for (std::size_t i = 0; i < transient_.size(); ++i) {
-    if (transient_[i].first == dt) {
-      ++stats_.transient_cache_hits;
-      if (i > 0) {  // move to front: MRU order
-        auto hit = std::move(transient_[i]);
-        transient_.erase(transient_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-        transient_.insert(transient_.begin(), std::move(hit));
-      }
-      return *transient_.front().second;
-    }
-  }
-  // First sight of this dt: factor G + C/dt on the same sparsity pattern
-  // (every row has a diagonal entry — vertical_g_w_per_k > 0).
-  math::sparse::CsrMatrix a = g_;
-  const double c_dt = params_.tile_heat_capacity_j_per_k / dt;
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  auto& values = a.values();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      if (col_idx[k] == r) {
-        values[k] += c_dt;
-        break;
-      }
-    }
-  }
-  transient_.emplace(
-      transient_.begin(), dt,
-      std::make_unique<math::sparse::SpdSolver>(std::move(a),
-                                                params_.solver));
-  if (transient_.size() > kMaxTransientFactors) transient_.pop_back();
-  ++stats_.factorizations;
-  static obs::Counter& factorizations =
-      obs::registry().counter("thermal.solve.factorizations");
-  factorizations.add();
-  return *transient_.front().second;
-}
-
-void ThermalGrid::step(Seconds dt) {
-  DH_REQUIRE(dt.value() > 0.0, "time step must be positive");
-  const std::size_t n = tile_count();
-  ++stats_.transient_steps;
-  const math::sparse::SpdSolver& solver = transient_solver(dt.value());
-  std::vector<double> rhs(n);
-  const double c_dt = params_.tile_heat_capacity_j_per_k / dt.value();
-  for (std::size_t i = 0; i < n; ++i) {
-    rhs[i] = power_[i] + c_dt * temp_rise_[i];
-  }
-  temp_rise_ = solver.solve(rhs);
-}
-
-math::sparse::SpdMethod ThermalGrid::solver_method() const {
-  return steady_->method();
+  temp_rise_ = steady_.solve(power_);
 }
 
 Celsius ThermalGrid::temperature(std::size_t tile) const {
@@ -134,22 +90,19 @@ Celsius ThermalGrid::max_temperature() const {
   return Celsius{params_.ambient.value() + m};
 }
 
+Celsius ThermalGrid::mean_temperature() const {
+  double acc = 0.0;
+  for (const double t : temp_rise_) acc += t;
+  return Celsius{params_.ambient.value() +
+                 acc / static_cast<double>(tile_count())};
+}
+
 void ThermalGrid::save_state(ckpt::Serializer& s) const {
   s.begin_section("THRM");
   s.write_f64_vec(power_);
   s.write_f64_vec(temp_rise_);
-  s.write_bool(steady_->cg_rescue_built());
-  // Transient cache keys, oldest first, so a load that re-inserts each at
-  // the MRU front reproduces the exact cache order.
-  s.write_u64(transient_.size());
-  for (std::size_t i = transient_.size(); i > 0; --i) {
-    s.write_f64(transient_[i - 1].first);
-    s.write_bool(transient_[i - 1].second->cg_rescue_built());
-  }
   s.write_u64(stats_.steady_solves);
-  s.write_u64(stats_.transient_steps);
   s.write_u64(stats_.factorizations);
-  s.write_u64(stats_.transient_cache_hits);
 }
 
 void ThermalGrid::load_state(ckpt::Deserializer& d) {
@@ -160,30 +113,8 @@ void ThermalGrid::load_state(ckpt::Deserializer& d) {
              "thermal snapshot tile count does not match this grid");
   power_ = std::move(power);
   temp_rise_ = std::move(temp_rise);
-  if (d.read_bool()) steady_->build_cg_rescue();
-  transient_.clear();
-  const std::uint64_t cached = d.read_u64();
-  DH_REQUIRE(cached <= kMaxTransientFactors,
-             "thermal snapshot transient cache exceeds the MRU capacity");
-  for (std::uint64_t i = 0; i < cached; ++i) {
-    const double dt = d.read_f64();
-    const bool rescue = d.read_bool();
-    const math::sparse::SpdSolver& solver = transient_solver(dt);
-    if (rescue) solver.build_cg_rescue();
-  }
-  // The rebuild above bumped the counters; the snapshot values (matching
-  // the uninterrupted run) win.
   stats_.steady_solves = static_cast<std::size_t>(d.read_u64());
-  stats_.transient_steps = static_cast<std::size_t>(d.read_u64());
   stats_.factorizations = static_cast<std::size_t>(d.read_u64());
-  stats_.transient_cache_hits = static_cast<std::size_t>(d.read_u64());
-}
-
-Celsius ThermalGrid::mean_temperature() const {
-  double acc = 0.0;
-  for (const double t : temp_rise_) acc += t;
-  return Celsius{params_.ambient.value() +
-                 acc / static_cast<double>(tile_count())};
 }
 
 }  // namespace dh::thermal

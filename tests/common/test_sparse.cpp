@@ -1,11 +1,12 @@
 // Engine-level tests for the sparse linear-algebra stack: CSR assembly,
-// IC(0), PCG, the direct fallbacks, and the SpdSolver facade — including
+// PCG, the banded Cholesky factor, and the SpdSolver facade — including
 // the rejection paths (asymmetric, indefinite, singular) that must raise
 // descriptive dh::Error instead of returning garbage.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,7 +14,6 @@
 #include "common/math/sparse/cg.hpp"
 #include "common/math/sparse/csr.hpp"
 #include "common/math/sparse/direct.hpp"
-#include "common/math/sparse/ic0.hpp"
 #include "common/math/sparse/spd_solver.hpp"
 #include "common/rng.hpp"
 
@@ -84,27 +84,6 @@ TEST(Csr, StructureQueries) {
   EXPECT_FALSE(b.build().is_symmetric());
 }
 
-TEST(Direct, TridiagonalMatchesThomas) {
-  const std::size_t n = 40;
-  CsrBuilder b(n, n, 3);
-  Rng rng{3};
-  for (std::size_t i = 0; i < n; ++i) b.add_diagonal(i, 0.2);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    b.add_edge(i, i + 1, rng.uniform(0.5, 2.0));
-  }
-  const CsrMatrix a = b.build();
-  ASSERT_EQ(a.bandwidth(), 1u);
-  const TridiagonalCholesky chol{a};
-  std::vector<double> rhs(n);
-  for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
-  std::vector<double> x;
-  chol.solve(rhs, x);
-  const auto residual = a.multiply(x);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(residual[i], rhs[i], 1e-12);
-  }
-}
-
 TEST(Direct, BandedCholeskyMatchesDenseLu) {
   Rng rng{7};
   const CsrMatrix a = grid_laplacian(6, 7, 0.4, &rng);
@@ -133,48 +112,6 @@ TEST(Direct, SingularLaplacianRaisesDescriptiveError) {
     EXPECT_NE(what.find("pivot"), std::string::npos) << what;
     EXPECT_NE(what.find("singular"), std::string::npos) << what;
   }
-}
-
-TEST(Direct, TridiagonalRejectsIndefinite) {
-  CsrBuilder b(2, 2);
-  b.add(0, 0, 1.0);
-  b.add(1, 1, -1.0);  // negative pivot
-  EXPECT_THROW(TridiagonalCholesky{b.build()}, Error);
-}
-
-TEST(Ic0, ExactForTridiagonalPattern) {
-  // With no dropped fill (tridiagonal has none), IC(0) is the exact
-  // Cholesky factor: one apply solves the system outright.
-  const std::size_t n = 25;
-  CsrBuilder b(n, n, 3);
-  for (std::size_t i = 0; i < n; ++i) b.add_diagonal(i, 0.5);
-  for (std::size_t i = 0; i + 1 < n; ++i) b.add_edge(i, i + 1, 1.0);
-  const CsrMatrix a = b.build();
-  const IncompleteCholesky ic{a};
-  EXPECT_EQ(ic.shift(), 0.0);
-  std::vector<double> rhs(n, 1.0);
-  std::vector<double> x;
-  ic.apply(rhs, x);
-  const auto ax = a.multiply(x);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], 1.0, 1e-12);
-}
-
-TEST(Ic0, PreconditionsGridCgFarBelowUnpreconditionedCount) {
-  Rng rng{23};
-  const CsrMatrix a = grid_laplacian(24, 24, 0.02, &rng);
-  std::vector<double> rhs(a.rows());
-  for (auto& v : rhs) v = rng.uniform(0.0, 1.0);
-  const LinearOp op = [&](std::span<const double> v,
-                          std::vector<double>& y) { a.multiply(v, y); };
-  CgOptions opts;
-  opts.rel_tolerance = 1e-12;
-  std::vector<double> x_plain, x_ic;
-  const CgResult plain =
-      pcg_solve(op, rhs, IdentityPreconditioner{}, x_plain, opts);
-  const CgResult ic = pcg_solve(op, rhs, IncompleteCholesky{a}, x_ic, opts);
-  EXPECT_TRUE(plain.converged);
-  EXPECT_TRUE(ic.converged);
-  EXPECT_LT(ic.iterations, plain.iterations / 2);
 }
 
 TEST(Cg, ZeroRhsReturnsZeroInZeroIterations) {
@@ -208,37 +145,22 @@ TEST(Cg, IndefiniteOperatorRaisesCurvatureError) {
   }
 }
 
-TEST(SpdSolver, PicksMethodFromStructure) {
-  EXPECT_EQ(SpdSolver::planned_method(100, 1), SpdMethod::kTridiagonal);
-  EXPECT_EQ(SpdSolver::planned_method(100, 10), SpdMethod::kBandedCholesky);
-  EXPECT_EQ(SpdSolver::planned_method(4096, 64), SpdMethod::kIc0Cg);
-
-  const SpdSolver tri{grid_laplacian(1, 32, 0.2)};
-  EXPECT_EQ(tri.method(), SpdMethod::kTridiagonal);
-  const SpdSolver banded{grid_laplacian(8, 8, 0.2)};
-  EXPECT_EQ(banded.method(), SpdMethod::kBandedCholesky);
-  SpdSolverOptions tiny_direct;
-  tiny_direct.direct_max_dim = 16;
-  const SpdSolver cg{grid_laplacian(8, 8, 0.2), tiny_direct};
-  EXPECT_EQ(cg.method(), SpdMethod::kIc0Cg);
-}
-
 TEST(SpdSolver, AllMethodsAgreeWithDenseReference) {
+  // 1xN and Nx1 chains (bandwidth 1) and 2-D meshes up to bandwidth 21.
   Rng rng{31};
-  for (const std::size_t rows : {1ul, 6ul, 20ul}) {
-    const CsrMatrix a = grid_laplacian(rows, 21, 0.15, &rng);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 21}, {21, 1}, {6, 21}, {20, 21}};
+  for (const auto& [rows, cols] : shapes) {
+    const CsrMatrix a = grid_laplacian(rows, cols, 0.15, &rng);
     std::vector<double> rhs(a.rows());
     for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
     const auto x_ref = solve_dense(a.to_dense(), rhs);
 
-    SpdSolverOptions opts;
-    opts.direct_max_dim = rows <= 6 ? 512 : 16;  // force CG for the 20x21
-    const SpdSolver solver{a, opts};
+    const SpdSolver solver{a};
     SpdSolveInfo info;
     const auto x = solver.solve(rhs, &info);
     for (std::size_t i = 0; i < x.size(); ++i) {
-      EXPECT_NEAR(x[i], x_ref[i], 1e-10)
-          << "method " << to_string(info.method) << " row count " << rows;
+      EXPECT_NEAR(x[i], x_ref[i], 1e-10) << rows << "x" << cols;
     }
     EXPECT_LT(info.relative_residual, 1e-12);
   }
@@ -258,33 +180,37 @@ TEST(SpdSolver, RejectsAsymmetricAssembly) {
   }
 }
 
-TEST(SpdSolver, IndefiniteFallsBackToDenseLu) {
-  // Symmetric, invertible, but indefinite: every sparse factorization
-  // breaks down and the facade must fall back to dense LU (recorded so
-  // guard tests can detect an unwanted fallback).
+TEST(SpdSolver, IndefiniteRaisesDescriptiveError) {
+  // Symmetric and invertible, but indefinite: the Cholesky factorization
+  // breaks down, and the solver must say why instead of returning garbage.
   CsrBuilder b(3, 3);
   b.add(0, 0, 1.0);
   b.add(1, 1, -3.0);
   b.add(2, 2, 1.0);
   b.add_edge(0, 1, 0.5);
-  const CsrMatrix a = b.build();
-  const SpdSolver solver{a};
-  EXPECT_EQ(solver.method(), SpdMethod::kDenseLu);
-  const std::vector<double> rhs{1.0, 2.0, 3.0};
-  const auto x = solver.solve(rhs);
-  const auto ax = a.multiply(x);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(ax[i], rhs[i], 1e-10);
+  try {
+    const SpdSolver solver{b.build()};
+    FAIL() << "expected dh::Error for indefinite matrix";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pivot"), std::string::npos) << what;
+    EXPECT_NE(what.find("positive definite"), std::string::npos) << what;
+  }
 }
 
 TEST(SpdSolver, SingularRaisesDescriptiveErrorOnEveryPath) {
-  for (const std::size_t rows : {1ul, 6ul, 20ul}) {
-    EXPECT_THROW(
-        {
-          const SpdSolver solver{grid_laplacian(rows, 21, 0.0)};
-          (void)solver.solve(std::vector<double>(rows * 21, 1.0));
-        },
-        Error)
-        << rows << "x21 ungrounded Laplacian must not solve";
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 21}, {21, 1}, {6, 21}, {20, 21}};
+  for (const auto& [rows, cols] : shapes) {
+    try {
+      const SpdSolver solver{grid_laplacian(rows, cols, 0.0)};
+      (void)solver.solve(std::vector<double>(rows * cols, 1.0));
+      ADD_FAILURE() << rows << "x" << cols
+                    << " ungrounded Laplacian must not solve";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string{e.what()}.find("singular"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
