@@ -1,28 +1,12 @@
 // Google-benchmark microbenchmarks of the numerical kernels, so solver
-// performance regressions are caught alongside the physics.
-//
-// Before the google-benchmark suite runs, a wall-clock section times the
-// parallel-execution layer (serial vs pool) and the cached PDN solver
-// (cached vs fresh dense solve) and writes the numbers to
-// BENCH_parallel.json (routed through obs::json_output_path, so
-// DH_BENCH_DIR controls where results land), so future PRs can track the
-// throughput trajectory machine-readably. A second section prices the
-// observability layer itself — record-call micro-costs and whole-sim
-// overhead — into BENCH_obs.json.
+// performance regressions are caught alongside the physics. End-to-end
+// and per-layer costs on the paper workloads are measured by perfbench/.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <functional>
-#include <sstream>
 #include <vector>
 
 #include "circuit/assist.hpp"
-#include "common/obs/bench_io.hpp"
-#include "common/obs/metrics.hpp"
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "device/bti_model.hpp"
 #include "device/calibration.hpp"
 #include "device/compact_bti.hpp"
@@ -31,7 +15,6 @@
 #include "em/korhonen.hpp"
 #include "pdn/pdn_grid.hpp"
 #include "sched/system_sim.hpp"
-#include "sram/sram_array.hpp"
 #include "thermal/thermal_grid.hpp"
 
 namespace {
@@ -194,320 +177,6 @@ void BM_SystemSimStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SystemSimStep)->Arg(2)->Arg(4)->Arg(8);
 
-double wall_ms(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-// EM wire-population kernel shared by the serial/parallel timing below —
-// a scaled-down bench/em_population_ttf inner loop.
-double em_population_member(std::size_t i) {
-  using namespace dh::em;
-  Rng r = Rng::stream(2026, i);
-  EmMaterialParams m = paper_calibrated_em_material();
-  m.d0_m2_per_s *= r.lognormal(0.0, 0.25);
-  m.critical_stress =
-      Pascals{m.critical_stress.value() * r.lognormal(0.0, 0.10)};
-  CompactEm em{CompactEmParams{.wire = paper_wire(), .material = m}};
-  const Celsius t = paper_em_conditions::chamber();
-  double elapsed = 0.0;
-  const double horizon = hours(120.0).value();
-  while (!em.broken() && elapsed < horizon) {
-    em.step(paper_em_conditions::stress_density(), t, minutes(60.0));
-    elapsed += minutes(60.0).value();
-  }
-  return em.broken() ? elapsed : horizon;
-}
-
-/// Times the parallel layer and the cached PDN solver, writes
-/// BENCH_parallel.json. Runs before the google-benchmark suite so the
-/// file is emitted even under a --benchmark_filter that excludes all.
-void write_parallel_json() {
-  const std::size_t threads = global_thread_count();
-
-  // 1. EM Monte-Carlo population: serial loop vs pool.
-  constexpr std::size_t kWires = 64;
-  std::vector<double> serial_ttf(kWires);
-  const double em_serial_ms = wall_ms([&] {
-    for (std::size_t i = 0; i < kWires; ++i) {
-      serial_ttf[i] = em_population_member(i);
-    }
-  });
-  std::vector<double> parallel_ttf;
-  const double em_parallel_ms = wall_ms([&] {
-    parallel_ttf = parallel_map(kWires, em_population_member);
-  });
-  const bool em_identical = serial_ttf == parallel_ttf;
-
-  // 2. SRAM array health scan: per-cell butterfly solves over the pool.
-  sram::SramArrayParams sp;
-  sp.cells = 96;
-  sram::SramArray array{sp};
-  array.step(Celsius{85.0}, hours(1000.0));
-  sram::SramArrayHealth serial_h, parallel_h;
-  // Route the serial scan through a single-thread global pool.
-  set_global_thread_count(1);
-  const double sram_serial_ms =
-      wall_ms([&] { serial_h = array.scan_health(); });
-  set_global_thread_count(threads);
-  const double sram_parallel_ms =
-      wall_ms([&] { parallel_h = array.scan_health(); });
-  const bool sram_identical =
-      serial_h.worst_snm.value() == parallel_h.worst_snm.value() &&
-      serial_h.mean_snm.value() == parallel_h.mean_snm.value();
-
-  // 3. PDN aging-style solve sequence: fresh dense solve every step vs
-  // the drift-tolerance LU cache.
-  pdn::PdnParams pp;
-  pp.rows = pp.cols = 16;
-  const pdn::PdnGrid grid{pp};
-  const std::vector<double> loads(grid.node_count(), 0.002);
-  constexpr int kSteps = 200;
-  const double uncached_ms = wall_ms([&] {
-    auto r = grid.fresh_segment_resistances(Celsius{85.0});
-    for (int s = 0; s < kSteps; ++s) {
-      for (double& x : r) x *= 1.0 + 2e-5;
-      benchmark::DoNotOptimize(grid.solve_uncached(loads, r));
-    }
-  });
-  const double cached_ms = wall_ms([&] {
-    auto r = grid.fresh_segment_resistances(Celsius{85.0});
-    for (int s = 0; s < kSteps; ++s) {
-      for (double& x : r) x *= 1.0 + 2e-5;
-      benchmark::DoNotOptimize(grid.solve(loads, r));
-    }
-  });
-  const auto& st = grid.solve_stats();
-
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"threads\": " << threads << ",\n";
-  json << "  \"em_population\": {\"wires\": " << kWires
-       << ", \"serial_ms\": " << em_serial_ms
-       << ", \"parallel_ms\": " << em_parallel_ms << ", \"speedup\": "
-       << (em_parallel_ms > 0.0 ? em_serial_ms / em_parallel_ms : 0.0)
-       << ", \"bit_identical\": " << (em_identical ? "true" : "false")
-       << "},\n";
-  json << "  \"sram_scan\": {\"cells\": " << sp.cells
-       << ", \"serial_ms\": " << sram_serial_ms
-       << ", \"parallel_ms\": " << sram_parallel_ms << ", \"speedup\": "
-       << (sram_parallel_ms > 0.0 ? sram_serial_ms / sram_parallel_ms
-                                  : 0.0)
-       << ", \"bit_identical\": " << (sram_identical ? "true" : "false")
-       << "},\n";
-  json << "  \"pdn_solve\": {\"nodes\": " << grid.node_count()
-       << ", \"steps\": " << kSteps << ", \"uncached_ms\": " << uncached_ms
-       << ", \"cached_ms\": " << cached_ms << ", \"speedup\": "
-       << (cached_ms > 0.0 ? uncached_ms / cached_ms : 0.0)
-       << ", \"factorizations\": " << st.factorizations
-       << ", \"refinement_iterations\": " << st.refinement_iterations
-       << "}\n";
-  json << "}\n";
-  obs::write_file_atomic(obs::json_output_path("BENCH_parallel.json"),
-                         json.str());
-  std::printf(
-      "BENCH_parallel.json written: %zu thread(s); em %.0f/%.0f ms, "
-      "sram %.0f/%.0f ms, pdn %.0f/%.0f ms (%zu factorizations in %d "
-      "cached steps)\n",
-      threads, em_serial_ms, em_parallel_ms, sram_serial_ms,
-      sram_parallel_ms, uncached_ms, cached_ms, st.factorizations,
-      kSteps);
-}
-
-/// Prices the observability layer at the record-call level (counter add,
-/// histogram observe, gated-off flag check) and on a short system-sim
-/// run, writing BENCH_obs_kernels.json. fig12_system_schedule owns the
-/// canonical BENCH_obs.json (full 2-year workload); this file tracks the
-/// per-call micro-costs so a regression shows up even without the long
-/// run.
-void write_obs_kernels_json() {
-  using Clock = std::chrono::steady_clock;
-  constexpr std::size_t kOps = 2'000'000;
-  obs::Counter& counter = obs::registry().counter("bench.obs.counter");
-  obs::Histogram& hist =
-      obs::registry().histogram("bench.obs.hist", "ms");
-
-  const auto time_ns_per_op = [&](const std::function<void()>& body) {
-    const auto t0 = Clock::now();
-    body();
-    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
-               .count() /
-           static_cast<double>(kOps);
-  };
-  const double counter_on_ns = time_ns_per_op([&] {
-    for (std::size_t i = 0; i < kOps; ++i) counter.add();
-  });
-  const double hist_on_ns = time_ns_per_op([&] {
-    for (std::size_t i = 0; i < kOps; ++i) {
-      hist.observe(static_cast<double>(i & 1023) + 0.5);
-    }
-  });
-  obs::set_enabled(false);
-  const double counter_off_ns = time_ns_per_op([&] {
-    for (std::size_t i = 0; i < kOps; ++i) counter.add();
-  });
-  const double hist_off_ns = time_ns_per_op([&] {
-    for (std::size_t i = 0; i < kOps; ++i) {
-      hist.observe(static_cast<double>(i & 1023) + 0.5);
-    }
-  });
-  obs::set_enabled(true);
-
-  // Whole-sim overhead on a short default-chip run (fig12 measures the
-  // full 2-year workload; this is the fast canary). Two sims stepped in
-  // alternating 50-quantum blocks so both modes see the same machine
-  // state; best-of-block minima stand in for the unperturbed times.
-  constexpr int kQuanta = 400;
-  constexpr int kSimBlock = 50;
-  sched::SystemParams p;
-  sched::SystemSimulator sim_base{p, sched::make_periodic_active_policy()};
-  sched::SystemSimulator sim_inst{p, sched::make_periodic_active_policy()};
-  const auto sim_block_ms = [&](sched::SystemSimulator& sim) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < kSimBlock; ++i) sim.step();
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-  };
-  double sim_baseline_ms = 0.0;
-  double sim_metrics_ms = 0.0;
-  std::vector<double> sim_ratio;
-  for (int done = 0; done < kQuanta; done += kSimBlock) {
-    obs::set_enabled(false);
-    const double tb = sim_block_ms(sim_base);
-    obs::set_enabled(true);
-    const double tm = sim_block_ms(sim_inst);
-    sim_baseline_ms += tb;
-    sim_metrics_ms += tm;
-    if (done > 0 && tb > 0.0) sim_ratio.push_back(tm / tb);
-  }
-  std::sort(sim_ratio.begin(), sim_ratio.end());
-  const double sim_overhead_pct =
-      sim_ratio.empty()
-          ? 0.0
-          : 100.0 * (sim_ratio[sim_ratio.size() / 2] - 1.0);
-
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"record_ns_per_op\": {\"counter_on\": " << counter_on_ns
-       << ", \"counter_off\": " << counter_off_ns
-       << ", \"histogram_on\": " << hist_on_ns
-       << ", \"histogram_off\": " << hist_off_ns << "},\n";
-  json << "  \"system_sim\": {\"quanta\": " << kQuanta
-       << ", \"baseline_ms\": " << sim_baseline_ms
-       << ", \"metrics_ms\": " << sim_metrics_ms
-       << ", \"overhead_pct\": " << sim_overhead_pct << "}\n";
-  json << "}\n";
-  obs::write_file_atomic(obs::json_output_path("BENCH_obs_kernels.json"),
-                         json.str());
-  std::printf(
-      "BENCH_obs_kernels.json written: counter %.1f/%.1f ns on/off, "
-      "histogram %.1f/%.1f ns on/off, sim overhead %+.2f%%\n",
-      counter_on_ns, counter_off_ns, hist_on_ns, hist_off_ns,
-      sim_overhead_pct);
-}
-
-/// Dense-LU vs sparse-engine scaling curve for the PDN IR solve at
-/// n in {64, 256, 1024, 4096} nodes, written to BENCH_sparse.json. Each
-/// row times: the from-scratch dense reference (solve_uncached), a cold
-/// sparse solve (CSR assembly + factorization + solve), and the
-/// steady-state cached sparse solve under slow EM drift — plus how many
-/// CG iterations it spent. The acceptance bar is the 64x64 row: cold
-/// sparse must beat dense by >= 10x.
-void write_sparse_json() {
-  struct Row {
-    std::size_t side = 0;
-    std::size_t nodes = 0;
-    double dense_ms = 0.0;
-    double sparse_cold_ms = 0.0;
-    double sparse_cached_ms = 0.0;
-    double speedup_cold = 0.0;
-    std::size_t cg_iterations = 0;
-  };
-  std::vector<Row> rows;
-  for (const std::size_t side : {8ul, 16ul, 32ul, 64ul}) {
-    Row row;
-    row.side = side;
-    row.nodes = side * side;
-    pdn::PdnParams p;
-    p.rows = p.cols = side;
-    const pdn::PdnGrid grid{p};
-    const std::vector<double> loads(grid.node_count(), 0.002);
-    const auto r = grid.fresh_segment_resistances(Celsius{85.0});
-
-    // Repetition counts sized so small grids get a measurable window
-    // while the O(n^3) dense solve at n = 4096 runs exactly once.
-    const int dense_reps = side <= 8 ? 50 : side <= 16 ? 10 : side <= 32 ? 2 : 1;
-    row.dense_ms = wall_ms([&] {
-                     for (int i = 0; i < dense_reps; ++i) {
-                       benchmark::DoNotOptimize(grid.solve_uncached(loads, r));
-                     }
-                   }) /
-                   dense_reps;
-
-    const int sparse_reps = side <= 32 ? 20 : 5;
-    row.sparse_cold_ms = wall_ms([&] {
-                           for (int i = 0; i < sparse_reps; ++i) {
-                             const pdn::PdnGrid cold{p};
-                             benchmark::DoNotOptimize(cold.solve(loads, r));
-                           }
-                         }) /
-                         sparse_reps;
-
-    auto drift_r = r;
-    (void)grid.solve(loads, drift_r);  // warm the cache
-    constexpr int kCachedReps = 50;
-    row.sparse_cached_ms = wall_ms([&] {
-                             for (int i = 0; i < kCachedReps; ++i) {
-                               for (double& x : drift_r) x *= 1.0 + 1e-5;
-                               benchmark::DoNotOptimize(
-                                   grid.solve(loads, drift_r));
-                             }
-                           }) /
-                           kCachedReps;
-    row.speedup_cold =
-        row.sparse_cold_ms > 0.0 ? row.dense_ms / row.sparse_cold_ms : 0.0;
-    row.cg_iterations = grid.solve_stats().cg_iterations;
-    rows.push_back(row);
-  }
-
-  std::ostringstream json;
-  json << "{\n  \"pdn_solve_scaling\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    json << "    {\"grid\": \"" << row.side << "x" << row.side
-         << "\", \"nodes\": " << row.nodes
-         << ", \"dense_ms\": " << row.dense_ms
-         << ", \"sparse_cold_ms\": " << row.sparse_cold_ms
-         << ", \"sparse_cached_ms\": " << row.sparse_cached_ms
-         << ", \"speedup_cold\": " << row.speedup_cold
-         << ", \"cg_iterations\": " << row.cg_iterations << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  obs::write_file_atomic(obs::json_output_path("BENCH_sparse.json"),
-                         json.str());
-  for (const Row& row : rows) {
-    std::printf(
-        "BENCH_sparse %2zux%-2zu (%4zu nodes): dense %9.3f ms, "
-        "sparse cold %7.3f ms (%.0fx), cached %7.3f ms, cg_iters %zu\n",
-        row.side, row.side, row.nodes, row.dense_ms,
-        row.sparse_cold_ms, row.speedup_cold, row.sparse_cached_ms,
-        row.cg_iterations);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  write_parallel_json();
-  write_obs_kernels_json();
-  write_sparse_json();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -24,7 +24,7 @@
 
 namespace dh::ckpt {
 
-inline constexpr std::uint32_t kSchemaVersion = 2;
+inline constexpr std::uint32_t kSchemaVersion = 3;
 inline constexpr char kMagic[4] = {'D', 'H', 'C', 'K'};
 
 struct SnapshotHeader {
@@ -35,8 +35,8 @@ struct SnapshotHeader {
 };
 
 /// Write `payload` to `path` atomically (temp file + rename). Throws
-/// dh::Error when the directory/file cannot be written. Increments the
-/// `ckpt.write` counter and emits a `ckpt/write` trace event.
+/// dh::Error when the directory/file cannot be written. Emits a
+/// `ckpt/write` trace event.
 void write_snapshot(const std::string& path, const std::string& kind,
                     const std::vector<std::uint8_t>& payload);
 

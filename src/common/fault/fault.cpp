@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "common/error.hpp"
-#include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
 #include "common/rng.hpp"
 
@@ -19,7 +18,6 @@ struct Site {
   SiteSpec spec;
   std::atomic<std::uint64_t> attempts{0};
   std::atomic<std::uint64_t> injected{0};
-  obs::Counter* counter = nullptr;  // fault.injected.<site>
 };
 
 struct Registry {
@@ -213,15 +211,6 @@ bool should_inject_impl(const char* site, bool emit_trace) {
     s->injected.fetch_sub(1, std::memory_order_relaxed);
     return false;
   }
-  static obs::Counter& total = obs::registry().counter("fault.injected");
-  total.add();
-  {
-    std::lock_guard<std::mutex> lock(r.mu);
-    if (s->counter == nullptr) {
-      s->counter = &obs::registry().counter("fault.injected." + s->spec.site);
-    }
-  }
-  s->counter->add();
   if (emit_trace && obs::trace_enabled()) {
     obs::trace_event("fault", "inject",
                      {{"attempt", static_cast<double>(n)},

@@ -3,7 +3,7 @@
 // Production code asks `fault::should_inject("site.name")` at the places
 // where the real world can fail — a trace file hitting EIO, a sensor
 // returning garbage. With no faults configured the call is a single
-// relaxed atomic load (the same discipline as obs::enabled()), so
+// relaxed atomic load (the same discipline as obs::trace_enabled()), so
 // shipping the probes costs nothing.
 //
 // Faults are configured by spec string, either programmatically
@@ -27,9 +27,8 @@
 // (Under a thread pool the per-site attempt order follows scheduling; the
 // per-site *rate* and cap still hold.)
 //
-// Every injection increments the `fault.injected` registry counter, the
-// per-site counter `fault.injected.<site>`, and emits a `fault/inject`
-// trace event when tracing is on.
+// Every injection is counted per site (injection_count) and emits a
+// `fault/inject` trace event when tracing is on.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +72,8 @@ void reset();
 /// should_inject without the `fault/inject` trace event. For probes that
 /// sit *inside* the trace pipeline itself (e.g. the JSONL sink's write
 /// path, which runs under the trace dispatcher lock): emitting a trace
-/// event from there would re-enter the dispatcher and deadlock. Counters
-/// still tick.
+/// event from there would re-enter the dispatcher and deadlock. The
+/// injection is still counted.
 [[nodiscard]] bool should_inject_untraced(const char* site);
 
 /// Total injections so far at `site` (0 when unconfigured).

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/math/linalg.hpp"
-#include "common/obs/metrics.hpp"
 
 namespace dh::math::sparse {
 
@@ -21,9 +20,9 @@ constexpr double kAcceptRelResidual = 1e-10;
 /// solvable systems (aged grids whose broken segments spread the
 /// conductances across ~12 decades) bottom out around 1e-7 relative —
 /// the double-precision floor any engine shares, dense LU included —
-/// and are accepted with the achieved residual recorded in the
-/// `solver.residual` gauge. A genuinely singular matrix (pivots made of
-/// rounding noise) stalls at O(1) and throws.
+/// and are accepted with the achieved residual reported in
+/// SpdSolveInfo::relative_residual. A genuinely singular matrix (pivots
+/// made of rounding noise) stalls at O(1) and throws.
 constexpr double kRejectRelResidual = 1e-4;
 
 CsrMatrix require_symmetric(CsrMatrix a) {
@@ -41,17 +40,6 @@ CsrMatrix require_symmetric(CsrMatrix a) {
 
 SpdSolver::SpdSolver(CsrMatrix a)
     : a_(require_symmetric(std::move(a))), factor_(a_) {}
-
-void SpdSolver::record(const SpdSolveInfo& info) const {
-  static obs::Histogram& iters =
-      obs::registry().histogram("solver.cg_iters", "iters");
-  static obs::Gauge& residual =
-      obs::registry().gauge("solver.residual", "rel");
-  if (info.cg_iterations > 0) {
-    iters.observe(static_cast<double>(info.cg_iterations));
-  }
-  residual.set(info.relative_residual);
-}
 
 std::vector<double> SpdSolver::solve(std::span<const double> b,
                                      SpdSolveInfo* info) const {
@@ -94,7 +82,6 @@ std::vector<double> SpdSolver::solve(std::span<const double> b,
     }
   }
   local.relative_residual = relative(local.residual_norm);
-  record(local);
   if (info != nullptr) *info = local;
   return x;
 }
@@ -112,7 +99,6 @@ bool SpdSolver::solve_drifted(const LinearOp& true_op,
   const double b_norm = norm2(b);
   local.relative_residual =
       b_norm > 0.0 ? local.residual_norm / b_norm : 0.0;
-  record(local);
   if (info != nullptr) *info = local;
   // Same acceptance bound as solve(): a stale-factor refinement that
   // stagnates at its rounding floor but within the contract is a hit,

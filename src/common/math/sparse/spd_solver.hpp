@@ -58,8 +58,6 @@ class SpdSolver {
   [[nodiscard]] std::size_t dim() const { return a_.rows(); }
 
  private:
-  void record(const SpdSolveInfo& info) const;
-
   CsrMatrix a_;
   BandedCholesky factor_;
 };

@@ -1,382 +1,17 @@
 #include "common/obs/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <ostream>
-
-#include "common/error.hpp"
+#include <atomic>
 
 namespace dh::obs {
 
 namespace {
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{[] {
-    if (const char* env = std::getenv("DH_OBS")) {
-      if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-          std::strcmp(env, "OFF") == 0) {
-        return false;
-      }
-    }
-    return true;
-  }()};
-  return flag;
-}
-
+std::atomic<bool> g_enabled{true};
 }  // namespace
 
-bool enabled() noexcept {
-  return enabled_flag().load(std::memory_order_relaxed);
-}
+bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
 void set_enabled(bool on) noexcept {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
-namespace detail {
-
-namespace {
-// Constant-initialised so the hot-path TLS read needs no init guard.
-constinit thread_local std::size_t t_shard = SIZE_MAX;
-}  // namespace
-
-std::size_t thread_shard() noexcept {
-  std::size_t idx = t_shard;
-  if (idx == SIZE_MAX) {
-    static std::atomic<std::size_t> next{0};
-    idx = next.fetch_add(1, std::memory_order_relaxed) % kShards;
-    t_shard = idx;
-  }
-  return idx;
-}
-
-}  // namespace detail
-
-std::uint64_t Counter::value() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto& s : shards_) sum += s.v.load(std::memory_order_relaxed);
-  return sum;
-}
-
-void Counter::reset() noexcept {
-  for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-}
-
-std::size_t Histogram::bucket_index(double v) noexcept {
-  if (!(v > 0.0) || !std::isfinite(v)) return 0;  // underflow/zero/NaN bin
-  int exp = 0;
-  const double mant = std::frexp(v, &exp);  // v = mant * 2^exp, mant in [0.5, 1)
-  if (exp <= kMinExp) return 0;
-  if (exp > kMaxExp) return kBuckets - 1;  // overflow bin
-  const auto sub = static_cast<std::size_t>((mant - 0.5) * 2.0 *
-                                            static_cast<double>(kSubBuckets));
-  return 1 +
-         static_cast<std::size_t>(exp - 1 - kMinExp) * kSubBuckets +
-         std::min<std::size_t>(sub, kSubBuckets - 1);
-}
-
-double Histogram::bucket_lower(std::size_t idx) noexcept {
-  if (idx == 0) return 0.0;
-  if (idx >= kBuckets - 1) return std::ldexp(1.0, kMaxExp);
-  const std::size_t rel = idx - 1;
-  const int exp = kMinExp + static_cast<int>(rel / kSubBuckets);
-  const auto sub = static_cast<double>(rel % kSubBuckets);
-  return std::ldexp(0.5 + 0.5 * sub / kSubBuckets, exp + 1);
-}
-
-double Histogram::bucket_upper(std::size_t idx) noexcept {
-  if (idx >= kBuckets - 1) return std::ldexp(1.0, kMaxExp);
-  return bucket_lower(idx + 1);
-}
-
-void Histogram::observe(double v) noexcept {
-  if (!enabled()) return;
-  bins_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // CAS min/max against +/-inf sentinels: min and max are commutative and
-  // idempotent, so the result is order-independent under any interleaving.
-  double cur = min_.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-  cur = max_.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-double Histogram::percentile(double q) const noexcept {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the q-quantile among n ordered samples (nearest-rank with
-  // within-bucket linear interpolation).
-  const double target = q * static_cast<double>(n - 1) + 1.0;
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t c = bins_[i].load(std::memory_order_relaxed);
-    if (c == 0) continue;
-    if (static_cast<double>(cum + c) >= target) {
-      const double frac =
-          (target - static_cast<double>(cum)) / static_cast<double>(c);
-      const double lo = bucket_lower(i);
-      const double hi = bucket_upper(i);
-      // Clamp into the observed range so tiny counts don't report beyond
-      // the true extremes.
-      const double v = lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-      return std::clamp(v, min_.load(std::memory_order_relaxed),
-                        max_.load(std::memory_order_relaxed));
-    }
-    cum += c;
-  }
-  return max_.load(std::memory_order_relaxed);
-}
-
-Histogram::Snapshot Histogram::snapshot() const noexcept {
-  Snapshot s;
-  s.count = count();
-  if (s.count == 0) return s;
-  s.min = min_.load(std::memory_order_relaxed);
-  s.max = max_.load(std::memory_order_relaxed);
-  double weighted = 0.0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t c = bins_[i].load(std::memory_order_relaxed);
-    if (c == 0) continue;
-    const double mid = 0.5 * (bucket_lower(i) + bucket_upper(i));
-    weighted += mid * static_cast<double>(c);
-  }
-  s.mean = weighted / static_cast<double>(s.count);
-  s.p50 = percentile(0.50);
-  s.p95 = percentile(0.95);
-  return s;
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(kBuckets);
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    out[i] = bins_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void Histogram::reset() noexcept {
-  for (auto& b : bins_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-}
-
-struct Registry::Entry {
-  std::string name;
-  std::string unit;
-  MetricKind kind;
-  // Exactly one is engaged, per `kind`.
-  std::unique_ptr<Counter> counter;
-  std::unique_ptr<Gauge> gauge;
-  std::unique_ptr<Histogram> histogram;
-};
-
-Registry::Entry& Registry::get_or_create(std::string_view name,
-                                         std::string_view unit,
-                                         MetricKind kind) {
-  DH_REQUIRE(!name.empty(), "metric name must not be empty");
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& e : entries_) {
-    if (e->name == name) {
-      DH_REQUIRE(e->kind == kind,
-                 "metric '" + e->name +
-                     "' already registered as a different kind");
-      if (e->unit.empty() && !unit.empty()) e->unit = std::string(unit);
-      return *e;
-    }
-  }
-  auto e = std::make_unique<Entry>();
-  e->name = std::string(name);
-  e->unit = std::string(unit);
-  e->kind = kind;
-  switch (kind) {
-    case MetricKind::kCounter:
-      e->counter = std::make_unique<Counter>();
-      break;
-    case MetricKind::kGauge:
-      e->gauge = std::make_unique<Gauge>();
-      break;
-    case MetricKind::kHistogram:
-      e->histogram = std::make_unique<Histogram>();
-      break;
-  }
-  entries_.push_back(std::move(e));
-  return *entries_.back();
-}
-
-Counter& Registry::counter(std::string_view name, std::string_view unit) {
-  return *get_or_create(name, unit, MetricKind::kCounter).counter;
-}
-
-Gauge& Registry::gauge(std::string_view name, std::string_view unit) {
-  return *get_or_create(name, unit, MetricKind::kGauge).gauge;
-}
-
-Histogram& Registry::histogram(std::string_view name,
-                               std::string_view unit) {
-  return *get_or_create(name, unit, MetricKind::kHistogram).histogram;
-}
-
-std::vector<MetricInfo> Registry::list() const {
-  std::vector<MetricInfo> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(entries_.size());
-    for (const auto& e : entries_) {
-      out.push_back({e->name, e->unit, e->kind});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const MetricInfo& a, const MetricInfo& b) {
-              return a.name < b.name;
-            });
-  return out;
-}
-
-const Counter* Registry::find_counter(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_) {
-    if (e->name == name && e->kind == MetricKind::kCounter) {
-      return e->counter.get();
-    }
-  }
-  return nullptr;
-}
-
-const Gauge* Registry::find_gauge(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_) {
-    if (e->name == name && e->kind == MetricKind::kGauge) {
-      return e->gauge.get();
-    }
-  }
-  return nullptr;
-}
-
-const Histogram* Registry::find_histogram(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_) {
-    if (e->name == name && e->kind == MetricKind::kHistogram) {
-      return e->histogram.get();
-    }
-  }
-  return nullptr;
-}
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
-
-void Registry::write_json(std::ostream& os, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const std::string pad2(static_cast<std::size_t>(2 * indent), ' ');
-  // Snapshot entry pointers under the lock; metric objects are immortal
-  // and individually thread-safe, so reading them after release is fine.
-  struct Row {
-    std::string name;
-    std::string unit;
-    MetricKind kind;
-    const Counter* c;
-    const Gauge* g;
-    const Histogram* h;
-  };
-  std::vector<Row> rows;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rows.reserve(entries_.size());
-    for (const auto& e : entries_) {
-      rows.push_back({e->name, e->unit, e->kind, e->counter.get(),
-                      e->gauge.get(), e->histogram.get()});
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.name < b.name; });
-
-  const auto emit_section = [&](MetricKind kind, const char* title,
-                                bool trailing_comma) {
-    os << pad << '"' << title << "\": {";
-    bool first = true;
-    for (const Row& r : rows) {
-      if (r.kind != kind) continue;
-      if (!first) os << ',';
-      first = false;
-      os << '\n' << pad2 << '"';
-      json_escape(os, r.name);
-      os << "\": ";
-      switch (kind) {
-        case MetricKind::kCounter:
-          os << r.c->value();
-          break;
-        case MetricKind::kGauge:
-          os << r.g->value();
-          break;
-        case MetricKind::kHistogram: {
-          const Histogram::Snapshot s = r.h->snapshot();
-          os << "{\"count\": " << s.count << ", \"min\": " << s.min
-             << ", \"max\": " << s.max << ", \"mean\": " << s.mean
-             << ", \"p50\": " << s.p50 << ", \"p95\": " << s.p95;
-          if (!r.unit.empty()) {
-            os << ", \"unit\": \"";
-            json_escape(os, r.unit);
-            os << '"';
-          }
-          os << '}';
-          break;
-        }
-      }
-    }
-    os << (first ? "" : "\n") << (first ? "" : pad.c_str()) << '}'
-       << (trailing_comma ? "," : "") << '\n';
-  };
-
-  os << "{\n";
-  emit_section(MetricKind::kCounter, "counters", true);
-  emit_section(MetricKind::kGauge, "gauges", true);
-  emit_section(MetricKind::kHistogram, "histograms", false);
-  os << "}\n";
-}
-
-void Registry::reset_all() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& e : entries_) {
-    switch (e->kind) {
-      case MetricKind::kCounter:
-        e->counter->reset();
-        break;
-      case MetricKind::kGauge:
-        e->gauge->reset();
-        break;
-      case MetricKind::kHistogram:
-        e->histogram->reset();
-        break;
-    }
-  }
-}
-
-Registry& registry() {
-  // Deliberately leaked: instrumentation may fire from worker threads or
-  // static-destruction paths, so the registry must outlive everything.
-  static Registry* r = new Registry();
-  return *r;
+  g_enabled.store(on, std::memory_order_relaxed);
 }
 
 }  // namespace dh::obs

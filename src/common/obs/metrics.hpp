@@ -1,194 +1,17 @@
-// Process-wide metrics registry: counters, gauges, and histograms that the
-// healing stack updates from hot paths (PDN solves, thread-pool jobs,
-// scheduler quanta, compact-model evaluations, sensor readings).
+// Process-wide observability flag.
 //
-// Design constraints, in order:
-//   1. Observation only — recording a metric must never change simulation
-//      results. The deterministic `parallel_for` paths stay bit-identical
-//      whether observability is on or off.
-//   2. Thread-safe and TSan-clean without locks on the record path:
-//      counters are sharded per thread (padded atomics, exact under
-//      concurrency), histograms use fixed log-spaced buckets with atomic
-//      integer counts, so merges/sums are order-independent — the same
-//      snapshot comes out at any DH_THREADS value.
-//   3. Near-zero cost: a recording call is one relaxed atomic op behind a
-//      single relaxed flag load; `obs::set_enabled(false)` turns every
-//      record into that flag load alone (measured by BENCH_obs.json).
-//
-// Call sites cache the metric reference in a function-local static so the
-// registry's name lookup (mutex-guarded) happens once per process:
-//
-//   static obs::Counter& c = obs::registry().counter("pdn.solve.calls");
-//   c.add();
+// Nothing under src/ reads this flag: the library keeps its counts on the
+// objects that own them (`PdnGrid::solve_stats`, `AgingPdn::stats`,
+// `ThermalGrid::solve_stats`, `SystemSimulator::summary`) and emits
+// events only through the JSONL trace (common/obs/trace.hpp). The flag
+// stays so that callers which switch it (the repository benchmark's obs
+// pricing) keep building; switching it changes no result and no cost.
 #pragma once
-
-#include <array>
-#include <atomic>
-#include <cstdint>
-#include <iosfwd>
-#include <limits>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace dh::obs {
 
-/// Global observability gate (default on; initialised from DH_OBS, where
-/// "0"/"off" disables). When off, every record call reduces to one relaxed
-/// load — the knob BENCH_obs.json uses to price the instrumentation.
+/// Default on.
 [[nodiscard]] bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
-
-namespace detail {
-/// Stable small index for the calling thread, used to pick a counter
-/// shard. Threads are assigned round-robin on first use.
-[[nodiscard]] std::size_t thread_shard() noexcept;
-inline constexpr std::size_t kShards = 16;
-}  // namespace detail
-
-/// Monotonic event count. Sharded per thread: concurrent add() calls from
-/// the pool are exact (no lost updates) and never contend on one line.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept {
-    if (!enabled()) return;
-    shards_[detail::thread_shard()].v.fetch_add(n,
-                                                std::memory_order_relaxed);
-  }
-
-  /// Sum over shards. Exact once concurrent writers have finished.
-  [[nodiscard]] std::uint64_t value() const noexcept;
-
-  /// Test/bench helper; not safe against concurrent add().
-  void reset() noexcept;
-
- private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Shard, detail::kShards> shards_{};
-};
-
-/// Last-written instantaneous value (e.g. worst IR drop this quantum).
-class Gauge {
- public:
-  void set(double v) noexcept {
-    if (!enabled()) return;
-    v_.store(v, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { v_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
-
-/// Distribution of positive values on fixed log-spaced buckets
-/// (kSubBuckets per octave, covering 2^-40 .. 2^40 with underflow and
-/// overflow bins). All state is atomic integers plus CAS-maintained
-/// min/max, so snapshots are order-independent: observing the same
-/// multiset of values yields bit-identical summaries at any thread count.
-/// Percentiles interpolate within the matched bucket (relative error
-/// bounded by the bucket width, ~9%). Mean is derived from bucket
-/// midpoints — deterministic, same error bound.
-class Histogram {
- public:
-  static constexpr int kSubBuckets = 8;
-  static constexpr int kMinExp = -40;  // smallest bucketed value: 2^-41
-  static constexpr int kMaxExp = 40;   // largest bucketed value: 2^40
-  static constexpr std::size_t kBuckets =
-      static_cast<std::size_t>(kMaxExp - kMinExp) * kSubBuckets + 2;
-
-  void observe(double v) noexcept;
-
-  struct Snapshot {
-    std::uint64_t count = 0;
-    double min = 0.0;
-    double max = 0.0;
-    double mean = 0.0;  // from bucket midpoints (deterministic)
-    double p50 = 0.0;
-    double p95 = 0.0;
-  };
-  [[nodiscard]] Snapshot snapshot() const noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  /// Quantile q in [0, 1] from the bucket counts.
-  [[nodiscard]] double percentile(double q) const noexcept;
-
-  /// Raw bucket counts (for order-independence tests and reports).
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-
-  void reset() noexcept;  // test/bench helper; not concurrency-safe
-
- private:
-  [[nodiscard]] static std::size_t bucket_index(double v) noexcept;
-  [[nodiscard]] static double bucket_lower(std::size_t idx) noexcept;
-  [[nodiscard]] static double bucket_upper(std::size_t idx) noexcept;
-
-  std::array<std::atomic<std::uint64_t>, kBuckets> bins_{};
-  std::atomic<std::uint64_t> count_{0};
-  // +/-inf sentinels; meaningful only while count_ > 0.
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-};
-
-/// What kind of metric a registry entry is (for listings/dumps).
-enum class MetricKind { kCounter, kGauge, kHistogram };
-
-struct MetricInfo {
-  std::string name;
-  std::string unit;
-  MetricKind kind = MetricKind::kCounter;
-};
-
-/// Name -> metric map. Metric objects are allocated once and never move,
-/// so references handed out stay valid for the process lifetime; lookups
-/// take a mutex but hot paths cache the returned reference.
-class Registry {
- public:
-  /// Look up or create. `unit` is recorded on first registration
-  /// (informational; "" keeps any prior value). Registering the same name
-  /// as a different metric kind throws dh::Error.
-  [[nodiscard]] Counter& counter(std::string_view name,
-                                 std::string_view unit = "");
-  [[nodiscard]] Gauge& gauge(std::string_view name,
-                             std::string_view unit = "");
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     std::string_view unit = "");
-
-  /// Sorted by name.
-  [[nodiscard]] std::vector<MetricInfo> list() const;
-
-  /// Find without creating; nullptr when absent or of another kind.
-  [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-  [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
-  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
-
-  /// One JSON object: {"counters": {...}, "gauges": {...},
-  /// "histograms": {name: {count, min, max, mean, p50, p95}}}.
-  void write_json(std::ostream& os, int indent = 2) const;
-
-  /// Zero every metric (entries stay registered). Test/bench helper.
-  void reset_all();
-
- private:
-  struct Entry;
-  [[nodiscard]] Entry& get_or_create(std::string_view name,
-                                     std::string_view unit, MetricKind kind);
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Entry>> entries_;  // unsorted; small
-};
-
-/// The process-wide registry all library instrumentation records into.
-/// Never destroyed (immortal), so worker threads and static-destruction
-/// paths can always record safely.
-[[nodiscard]] Registry& registry();
 
 }  // namespace dh::obs

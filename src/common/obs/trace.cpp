@@ -9,24 +9,8 @@
 
 #include "common/error.hpp"
 #include "common/fault/fault.hpp"
-#include "common/obs/metrics.hpp"
 
 namespace dh::obs {
-
-namespace {
-
-/// Count one dropped trace record. Never throws: the drop counter is the
-/// channel of last resort, used from destructors and flush paths where an
-/// exception would terminate the process.
-void count_trace_drop() noexcept {
-  try {
-    registry().counter("trace.drop").add();
-  } catch (...) {
-    // Losing the drop count is acceptable; losing the process is not.
-  }
-}
-
-}  // namespace
 
 struct JsonlTraceSink::Impl {
   std::ofstream out;
@@ -44,15 +28,19 @@ JsonlTraceSink::JsonlTraceSink(const std::string& path)
 JsonlTraceSink::~JsonlTraceSink() {
   // Flush-on-destruction: the trace tail must survive normal process exit
   // even if nobody called flush_trace(). A failed final flush must NOT
-  // propagate from a destructor — it is recorded as a dropped record
-  // (`trace.drop`) instead.
+  // propagate from a destructor. The drop count dies with the sink, so
+  // any loss is reported on stderr.
   try {
     if (impl_ && impl_->out.is_open()) {
       impl_->out.flush();
-      if (!impl_->out) count_trace_drop();
+      if (!impl_->out) ++dropped_;
     }
   } catch (...) {
-    count_trace_drop();
+    ++dropped_;
+  }
+  if (dropped_ > 0) {
+    std::fprintf(stderr, "trace sink: %llu record(s) dropped writing '%s'\n",
+                 static_cast<unsigned long long>(dropped_), path_.c_str());
   }
 }
 
@@ -70,7 +58,7 @@ void JsonlTraceSink::write(const TraceEvent& event) {
   // _untraced: this runs under the trace dispatcher lock; emitting the
   // usual fault/inject trace event from here would re-enter and deadlock.
   if (fault::armed() && fault::should_inject_untraced("io.trace_write")) {
-    count_trace_drop();
+    ++dropped_;
     throw Error("trace sink: injected I/O failure (EIO) writing '" +
                 path_ + "'");
   }
@@ -100,7 +88,7 @@ void JsonlTraceSink::write(const TraceEvent& event) {
   line += "}\n";
   impl_->out << line;
   if (!impl_->out) {
-    count_trace_drop();
+    ++dropped_;
     throw Error("trace sink: write to '" + path_ +
                 "' failed (disk full or file closed)");
   }
@@ -109,7 +97,7 @@ void JsonlTraceSink::write(const TraceEvent& event) {
 void JsonlTraceSink::flush() {
   if (impl_->out.is_open()) {
     impl_->out.flush();
-    if (!impl_->out) count_trace_drop();
+    if (!impl_->out) ++dropped_;
   }
 }
 
@@ -122,13 +110,12 @@ std::atomic<bool> g_armed{false};
 std::mutex g_mu;
 std::unique_ptr<TraceSink> g_sink;          // guarded by g_mu
 bool g_env_pending = false;                 // DH_TRACE seen, not opened
-bool g_paused = false;                      // guarded by g_mu
 std::string g_env_path;                     // guarded by g_mu
 std::chrono::steady_clock::time_point g_epoch;  // guarded by g_mu
 
 // Recompute the hot-path flag from the full state (call under g_mu).
 void rearm_locked() {
-  g_armed.store(!g_paused && (g_sink != nullptr || g_env_pending),
+  g_armed.store(g_sink != nullptr || g_env_pending,
                 std::memory_order_relaxed);
 }
 
@@ -203,12 +190,6 @@ void set_trace_sink(std::unique_ptr<TraceSink> sink, bool rearm_env) {
   } else {
     g_env_pending = rearm_env && !g_env_path.empty();
   }
-  rearm_locked();
-}
-
-void set_trace_paused(bool paused) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  g_paused = paused;
   rearm_locked();
 }
 

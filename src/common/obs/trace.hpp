@@ -18,6 +18,7 @@
 // simulation clock and is omitted when the event has none (NaN).
 #pragma once
 
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -53,7 +54,7 @@ class TraceSink {
 
 /// JSONL file sink. Throws dh::Error when the path cannot be opened for
 /// writing. Flushes on destruction so process exit never loses the tail
-/// of a trace.
+/// of a trace; a sink that dropped records says so on stderr then.
 class JsonlTraceSink : public TraceSink {
  public:
   explicit JsonlTraceSink(const std::string& path);
@@ -63,10 +64,14 @@ class JsonlTraceSink : public TraceSink {
 
   [[nodiscard]] const std::string& path() const { return path_; }
 
+  /// Records this sink failed to write or flush since construction.
+  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+
  private:
   struct Impl;
   std::string path_;
   std::unique_ptr<Impl> impl_;
+  std::uint64_t dropped_ = 0;  // writes are serialised by the dispatcher
 };
 
 /// True when a sink is installed or DH_TRACE names a file that has not
@@ -91,10 +96,5 @@ void set_trace_sink(std::unique_ptr<TraceSink> sink, bool rearm_env = false);
 
 /// Flush the installed sink, if any.
 void flush_trace();
-
-/// Pause / resume emission without touching the installed sink. While
-/// paused trace_enabled() reads false, so guarded call sites pay only the
-/// flag load — used by overhead benchmarks to A/B a single sink.
-void set_trace_paused(bool paused);
 
 }  // namespace dh::obs

@@ -2,8 +2,8 @@
 // counts per category/name, per-field distribution summaries (p50/p95/max),
 // a per-phase wall-time breakdown, and derived scheduler facts such as the
 // recovery-quanta count — the library behind tools/trace_report, factored
-// out so tests can check a recorded sim trace reproduces the live
-// registry counters exactly.
+// out so tests can check a recorded sim trace reproduces the simulator's
+// own counts exactly.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,7 @@ struct TraceReport {
   std::map<std::string, double> category_wall_ms;
   /// Derived from "sim/quantum" events: total quanta and how many had
   /// active recovery in flight (recovery_cores > 0 or em_recovery != 0) —
-  /// must match the live `sim.recovery_quanta` registry counter.
+  /// must match SystemSimulator::recovery_quanta() of the recorded run.
   std::size_t sim_quanta = 0;
   std::uint64_t sim_recovery_quanta = 0;
 };

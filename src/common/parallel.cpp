@@ -1,36 +1,11 @@
 #include "common/parallel.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 
 #include "common/error.hpp"
-#include "common/obs/metrics.hpp"
-#include "common/obs/profile.hpp"
 
 namespace dh {
-
-namespace {
-
-// Pool telemetry. Metric objects are immortal registry entries; the
-// references are resolved once. Recording is observation-only: it cannot
-// perturb index assignment or results.
-struct PoolMetrics {
-  obs::Counter& jobs = obs::registry().counter("pool.jobs");
-  obs::Counter& tasks = obs::registry().counter("pool.tasks");
-  obs::Counter& tasks_caller = obs::registry().counter("pool.tasks.caller");
-  obs::Counter& tasks_worker = obs::registry().counter("pool.tasks.worker");
-  obs::Histogram& job_ms = obs::registry().histogram("pool.job_ms", "ms");
-  obs::Histogram& drain_wait_ms =
-      obs::registry().histogram("pool.drain_wait_ms", "ms");
-};
-
-PoolMetrics& pool_metrics() {
-  static PoolMetrics* m = new PoolMetrics();
-  return *m;
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = default_thread_count();
@@ -62,12 +37,10 @@ std::size_t ThreadPool::default_thread_count() {
   return hc == 0 ? 1 : static_cast<std::size_t>(hc);
 }
 
-std::size_t ThreadPool::run_indices(Job& job) {
-  std::size_t executed = 0;
+void ThreadPool::run_indices(Job& job) {
   for (;;) {
     const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= job.n) break;
-    ++executed;
     try {
       (*job.fn)(i);
     } catch (...) {
@@ -79,7 +52,6 @@ std::size_t ThreadPool::run_indices(Job& job) {
       job.next.store(job.n, std::memory_order_relaxed);
     }
   }
-  return executed;
 }
 
 void ThreadPool::worker_loop() {
@@ -92,8 +64,7 @@ void ThreadPool::worker_loop() {
       job = job_;
       ++active_workers_;
     }
-    const std::size_t executed = run_indices(*job);
-    if (executed > 0) pool_metrics().tasks_worker.add(executed);
+    run_indices(*job);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_workers_;
@@ -105,17 +76,10 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  PoolMetrics& m = pool_metrics();
   if (workers_.empty() || n == 1) {
-    DH_PROF_SCOPE("pool.inline_job");
     for (std::size_t i = 0; i < n; ++i) fn(i);
-    m.tasks.add(n);
-    m.tasks_caller.add(n);
     return;
   }
-  m.jobs.add();
-  m.tasks.add(n);
-  const auto job_t0 = std::chrono::steady_clock::now();
   Job job;
   job.fn = &fn;
   job.n = n;
@@ -127,9 +91,7 @@ void ThreadPool::parallel_for(std::size_t n,
     job_ = &job;
   }
   work_cv_.notify_all();
-  const std::size_t executed = run_indices(job);  // the caller participates
-  m.tasks_caller.add(executed);
-  const auto drain_t0 = std::chrono::steady_clock::now();
+  run_indices(job);  // the caller participates
   {
     // The caller's run_indices only returns once the claim counter is
     // drained, so no *new* work remains; wait until every worker that
@@ -138,14 +100,6 @@ void ThreadPool::parallel_for(std::size_t n,
     std::unique_lock<std::mutex> lock(mu_);
     job_ = nullptr;  // stop waking workers for this job
     done_cv_.wait(lock, [&] { return active_workers_ == 0; });
-  }
-  const auto job_t1 = std::chrono::steady_clock::now();
-  if (obs::enabled()) {
-    m.drain_wait_ms.observe(
-        std::chrono::duration<double, std::milli>(job_t1 - drain_t0)
-            .count());
-    m.job_ms.observe(
-        std::chrono::duration<double, std::milli>(job_t1 - job_t0).count());
   }
   if (job.error) std::rethrow_exception(job.error);
 }

@@ -76,9 +76,8 @@ class ThreadPool {
   };
 
   void worker_loop();
-  /// Claims and runs indices until the job drains; returns how many this
-  /// thread executed (feeds the pool.tasks.* telemetry split).
-  static std::size_t run_indices(Job& job);
+  /// Claims and runs indices until the job drains.
+  static void run_indices(Job& job);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;

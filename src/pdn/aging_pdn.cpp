@@ -5,7 +5,6 @@
 
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
-#include "common/obs/metrics.hpp"
 
 namespace dh::pdn {
 
@@ -43,7 +42,6 @@ void AgingPdn::step(std::span<const double> load_amps, Celsius temperature,
   const double blech_crit = material_.blech_threshold(rho);
   const double seg_len = grid_.params().segment_wire.length.value();
 
-  std::size_t stepped = 0;
   for (std::size_t s = 0; s < grid_.segment_count(); ++s) {
     double current = last_.segment_current[s];
     if (em_recovery_mode) current = -current;
@@ -53,12 +51,7 @@ void AgingPdn::step(std::span<const double> load_amps, Celsius temperature,
     immortal_[s] = blech < blech_crit;
     if (immortal_[s] && !segment_em_[s].void_open()) continue;
     segment_em_[s].step(j, temperature, dt);
-    ++stepped;
   }
-  // Batched so the per-segment loop stays free of telemetry ops: one add
-  // per grid step records exactly how many compact-EM evaluations ran.
-  static obs::Counter& evals = obs::registry().counter("em.compact.evals");
-  evals.add(stepped);
   elapsed_s_ += dt.value();
 }
 

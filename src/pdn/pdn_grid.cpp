@@ -5,8 +5,6 @@
 
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
-#include "common/obs/metrics.hpp"
-#include "common/obs/profile.hpp"
 
 namespace dh::pdn {
 
@@ -17,27 +15,6 @@ namespace {
 /// CG solve against the *true* conductances, so accuracy does not depend
 /// on the tolerance — only the CG iteration count does.
 constexpr double kRefactorTolerance = 0.05;
-
-// Registry view of the cached-solver behavior, aggregated across every
-// PdnGrid instance in the process (per-instance numbers stay available
-// via PdnGrid::solve_stats).
-struct PdnMetrics {
-  obs::Counter& solves = obs::registry().counter("pdn.solve.calls");
-  obs::Counter& cache_hits = obs::registry().counter("pdn.solve.cache_hits");
-  obs::Counter& factorizations =
-      obs::registry().counter("pdn.solve.factorizations");
-  obs::Counter& refinement_iterations =
-      obs::registry().counter("pdn.solve.refinement_iterations");
-  obs::Counter& fallback_refactorizations =
-      obs::registry().counter("pdn.solve.fallback_refactorizations");
-  obs::Counter& cg_iterations =
-      obs::registry().counter("pdn.solve.cg_iterations");
-};
-
-PdnMetrics& pdn_metrics() {
-  static PdnMetrics* m = new PdnMetrics();
-  return *m;
-}
 
 }  // namespace
 
@@ -168,20 +145,15 @@ PdnSolution PdnGrid::finish_solution(
 
 void PdnGrid::refactorize(
     std::span<const double> segment_resistance) const {
-  DH_PROF_SCOPE("pdn.refactorize");
   solver_ = std::make_unique<math::sparse::SpdSolver>(
       assemble_conductance_csr(segment_resistance));
   solver_segment_r_.assign(segment_resistance.begin(),
                            segment_resistance.end());
   ++solve_stats_.factorizations;
-  pdn_metrics().factorizations.add();
 }
 
 PdnSolution PdnGrid::solve(std::span<const double> load_amps,
                            std::span<const double> segment_resistance) const {
-  // No wall-time scope here: solve sits on the per-quantum hot path and a
-  // timer would cost two clock reads per call. Counts come from the
-  // registry counters; timing lives on the rare refactorize path.
   const std::size_t n = node_count();
   DH_REQUIRE(load_amps.size() == n, "load vector size mismatch");
   DH_REQUIRE(segment_resistance.size() == segments_.size(),
@@ -191,7 +163,6 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
                "segment resistance must be positive");
   }
   ++solve_stats_.solves;
-  pdn_metrics().solves.add();
 
   bool exact = solver_ != nullptr;
   bool refactor = solver_ == nullptr;
@@ -209,8 +180,6 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
   if (refactor) {
     refactorize(segment_resistance);
     exact = true;
-  } else {
-    pdn_metrics().cache_hits.add();
   }
 
   const std::vector<double> rhs = assemble_rhs(load_amps);
@@ -230,19 +199,16 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
         },
         rhs, v, &info);
     solve_stats_.refinement_iterations += info.cg_iterations;
-    pdn_metrics().refinement_iterations.add(info.cg_iterations);
     if (!converged) {
       // Drift within tolerance but CG stalled (e.g. resistance jump
       // exactly at the threshold): fall back to a fresh factorization.
-      pdn_metrics().fallback_refactorizations.add();
+      ++solve_stats_.fallback_refactorizations;
       refactorize(segment_resistance);
       solve_stats_.cg_iterations += info.cg_iterations;
-      pdn_metrics().cg_iterations.add(info.cg_iterations);
       v = solver_->solve(rhs, &info);
     }
   }
   solve_stats_.cg_iterations += info.cg_iterations;
-  pdn_metrics().cg_iterations.add(info.cg_iterations);
   return finish_solution(std::move(v), segment_resistance);
 }
 
@@ -276,6 +242,7 @@ void PdnGrid::save_cache(ckpt::Serializer& s) const {
   s.write_u64(solve_stats_.factorizations);
   s.write_u64(solve_stats_.refinement_iterations);
   s.write_u64(solve_stats_.cg_iterations);
+  s.write_u64(solve_stats_.fallback_refactorizations);
 }
 
 void PdnGrid::load_cache(ckpt::Deserializer& d) {
@@ -295,6 +262,8 @@ void PdnGrid::load_cache(ckpt::Deserializer& d) {
   solve_stats_.refinement_iterations =
       static_cast<std::size_t>(d.read_u64());
   solve_stats_.cg_iterations = static_cast<std::size_t>(d.read_u64());
+  solve_stats_.fallback_refactorizations =
+      static_cast<std::size_t>(d.read_u64());
 }
 
 }  // namespace dh::pdn

@@ -51,6 +51,9 @@ struct PdnSolveStats {
   /// CG iterations spent refining against stale (drifted) factors — the
   /// sparse successor of the dense cache's iterative-refinement sweeps.
   std::size_t refinement_iterations = 0;
+  /// Drift solves whose CG stalled and that refactorized anyway (each is
+  /// also counted in `factorizations`).
+  std::size_t fallback_refactorizations = 0;
   /// Total preconditioned-CG iterations across all solves (refinement of
   /// exact solves on aged grids plus every drift-refinement iteration).
   std::size_t cg_iterations = 0;

@@ -5,7 +5,6 @@
 #include "common/ckpt/serialize.hpp"
 #include "common/ckpt/snapshot.hpp"
 #include "common/error.hpp"
-#include "common/obs/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -138,15 +137,10 @@ std::vector<SystemSummary> run_population(const SystemParams& base,
   DH_REQUIRE(make_policy != nullptr, "a policy factory is required");
   DH_REQUIRE(!resume_dir.empty(), "resume directory must be non-empty");
   check_or_write_manifest(resume_dir, base, count, lifetime);
-  static obs::Counter& resumed =
-      obs::registry().counter("population.resumed");
-  static obs::Counter& computed =
-      obs::registry().counter("population.computed");
   return parallel_map(count, [&](std::size_t i) {
     const std::uint64_t member_seed = Rng::stream_seed(base.seed, i);
     SystemSummary summary;
     if (try_load_member(resume_dir, i, member_seed, lifetime, summary)) {
-      resumed.add();
       return summary;
     }
     SystemParams p = base;
@@ -165,7 +159,6 @@ std::vector<SystemSummary> run_population(const SystemParams& base,
     save_summary(s, summary);
     ckpt::write_snapshot(member_path(resume_dir, i), kMemberKind,
                          s.buffer());
-    computed.add();
     return summary;
   });
 }

@@ -12,35 +12,11 @@
 #include "common/ckpt/snapshot.hpp"
 #include "common/error.hpp"
 #include "common/fault/fault.hpp"
-#include "common/obs/metrics.hpp"
-#include "common/obs/profile.hpp"
 #include "common/obs/trace.hpp"
 
 namespace dh::sched {
 
 namespace {
-
-// Scheduler telemetry, aggregated across simulator instances. The gauges
-// are written at the same single point that appends the TimeSeries
-// members, so the registry and the traces can never disagree.
-struct SimMetrics {
-  obs::Counter& quanta = obs::registry().counter("sim.quanta");
-  obs::Counter& recovery_quanta =
-      obs::registry().counter("sim.recovery_quanta");
-  obs::Counter& em_recovery_quanta =
-      obs::registry().counter("sim.em_recovery_quanta");
-  obs::Gauge& worst_degradation =
-      obs::registry().gauge("sim.worst_degradation", "frac");
-  obs::Gauge& worst_ir_drop =
-      obs::registry().gauge("sim.worst_ir_drop", "V");
-  obs::Gauge& max_temperature =
-      obs::registry().gauge("sim.max_temperature", "C");
-};
-
-SimMetrics& sim_metrics() {
-  static SimMetrics* m = new SimMetrics();
-  return *m;
-}
 
 thermal::ThermalGridParams match_thermal(thermal::ThermalGridParams t,
                                          std::size_t rows,
@@ -63,6 +39,18 @@ pdn::PdnParams match_pdn(pdn::PdnParams p, std::size_t rows,
 /// good value. Far above noise + worst-case shift, so fault-free runs
 /// never trip it and stay bit-identical to pre-degradation builds.
 constexpr double kSensorSaneLimitV = 0.5;
+
+/// `name` with every character outside [A-Za-z0-9._-] replaced by '_', so
+/// a policy name can key a checkpoint file.
+std::string filename_safe(std::string name) {
+  for (char& c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' ||
+                    c == '-';
+    if (!ok) c = '_';
+  }
+  return name;
+}
 
 }  // namespace
 
@@ -97,7 +85,6 @@ const Core& SystemSimulator::core(std::size_t i) const {
 }
 
 void SystemSimulator::step() {
-  DH_PROF_SCOPE("sim.step");
   const std::size_t n = cores_.size();
   const Seconds dt = params_.quantum;
 
@@ -122,9 +109,7 @@ void SystemSimulator::step() {
     if (!std::isfinite(sensed) || std::abs(sensed) > kSensorSaneLimitV) {
       // Graceful degradation: hold the last good reading for this core
       // rather than feeding garbage into the policy's hysteresis.
-      static obs::Counter& rejected =
-          obs::registry().counter("sensor.rejected");
-      rejected.add();
+      ++sensor_rejections_;
       sensed = last_good_sensor_[i];
     } else {
       sensed = std::max(0.0, sensed);
@@ -175,11 +160,7 @@ void SystemSimulator::step() {
   thermal_.set_power_map(power);
   thermal_.solve_steady();
 
-  // 5. Core aging at tile temperature. The compact-BTI evaluation count
-  // is batched into one add so the per-core loop carries no telemetry.
-  static obs::Counter& bti_evals =
-      obs::registry().counter("bti.compact.evals");
-  bti_evals.add(n);
+  // 5. Core aging at tile temperature.
   double delivered = 0.0;
   double demanded = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -229,7 +210,7 @@ void SystemSimulator::step() {
 
   // Telemetry: the per-quantum policy action and health picture. The
   // recovery_quanta definition (any core in BTI active recovery, or the
-  // grid in EM recovery mode) is shared verbatim by the registry counter,
+  // grid in EM recovery mode) is shared verbatim by recovery_quanta(),
   // the trace fields, and trace_report's reconstruction.
   std::size_t recovery_cores = 0;
   std::size_t running_cores = 0;
@@ -240,13 +221,6 @@ void SystemSimulator::step() {
   const bool recovering =
       recovery_cores > 0 || decision.em_recovery_mode;
   if (recovering) ++recovery_quanta_;
-  SimMetrics& m = sim_metrics();
-  m.quanta.add();
-  if (recovering) m.recovery_quanta.add();
-  if (decision.em_recovery_mode) m.em_recovery_quanta.add();
-  m.worst_degradation.set(worst_deg);
-  m.worst_ir_drop.set(ir_drop_v);
-  m.max_temperature.set(max_temp_c);
   if (obs::trace_enabled()) {
     if (recovering && !was_recovering_) {
       obs::trace_event_at(
@@ -291,12 +265,14 @@ void SystemSimulator::run(Seconds lifetime) {
       }
       every = static_cast<std::size_t>(v);
     }
-    // Seed-qualified name so concurrent population members never collide.
+    // Seed- and policy-qualified name, so concurrent population members
+    // and the policies of one sweep never share a file.
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // best-effort; write errors
                                                    // surface with the path
     ckpt_path = std::string(dir) + "/sim_seed" +
-                std::to_string(params_.seed) + ".dhck";
+                std::to_string(params_.seed) + "_" +
+                filename_safe(policy_->name()) + ".dhck";
     if (steps_ == 0 && ckpt::snapshot_valid(ckpt_path, "system_sim")) {
       load_checkpoint(ckpt_path);
     }
@@ -391,8 +367,6 @@ void SystemSimulator::load_checkpoint(const std::string& path) {
                 " trailing byte(s) after the simulator state — snapshot "
                 "and build disagree on the layout");
   }
-  static obs::Counter& resumes = obs::registry().counter("sim.resume");
-  resumes.add();
   if (obs::trace_enabled()) {
     obs::trace_event_at("sim", "resume", now_s_,
                         {{"steps", static_cast<double>(steps_)}});

@@ -70,9 +70,10 @@ class SystemSimulator {
   /// Run until `lifetime` has elapsed. When the DH_CKPT_DIR environment
   /// variable names a directory, the run checkpoints itself there every
   /// DH_CKPT_EVERY quanta (default 64) under
-  /// `<dir>/sim_seed<seed>.dhck`, and — if a valid checkpoint for this
-  /// configuration already exists and no steps have run yet — resumes
-  /// from it bit-identically, so a killed run loses at most one
+  /// `<dir>/sim_seed<seed>_<policy name>.dhck` (characters outside
+  /// [A-Za-z0-9._-] in the name become '_'), and — if a valid checkpoint
+  /// for this configuration already exists and no steps have run yet —
+  /// resumes from it bit-identically, so a killed run loses at most one
   /// checkpoint interval.
   void run(Seconds lifetime);
 
@@ -90,8 +91,7 @@ class SystemSimulator {
   /// "system_sim") — see ckpt::write_snapshot for the format guarantees.
   void save_checkpoint(const std::string& path) const;
   /// Restore from a checkpoint file; validates magic, version, kind, and
-  /// CRC before any state is touched. Increments the `sim.resume`
-  /// counter.
+  /// CRC before any state is touched. Emits a `sim/resume` trace event.
   void load_checkpoint(const std::string& path);
 
   [[nodiscard]] Seconds now() const { return Seconds{now_s_}; }
@@ -101,12 +101,18 @@ class SystemSimulator {
 
   /// Quanta in which active recovery was in flight (any core in BTI
   /// active recovery, or the grid in EM recovery mode) — makes schedules
-  /// like Fig. 4's 1h:1h duty cycle directly auditable. Mirrored into the
-  /// registry counter `sim.recovery_quanta` and stamped on every
+  /// like Fig. 4's 1h:1h duty cycle directly auditable. Stamped on every
   /// `sim/quantum` trace event, so tools/trace_report reproduces it
   /// exactly from a recorded trace.
   [[nodiscard]] std::size_t recovery_quanta() const {
     return recovery_quanta_;
+  }
+
+  /// Sensor readings rejected as non-finite or absurd (and replaced by
+  /// the core's last good reading) since this simulator was constructed.
+  /// Not part of the summary or the checkpoint.
+  [[nodiscard]] std::size_t sensor_rejections() const {
+    return sensor_rejections_;
   }
 
   /// Max fractional degradation across cores vs time.
@@ -139,6 +145,7 @@ class SystemSimulator {
   double temp_acc_ = 0.0;
   std::size_t steps_ = 0;
   std::size_t recovery_quanta_ = 0;
+  std::size_t sensor_rejections_ = 0;
   bool was_recovering_ = false;  // edge detector for recovery_enter events
   double guardband_ = 0.0;
   double first_failure_s_ = -1.0;

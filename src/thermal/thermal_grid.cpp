@@ -5,7 +5,6 @@
 
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
-#include "common/obs/metrics.hpp"
 
 namespace dh::thermal {
 
@@ -48,9 +47,6 @@ ThermalGrid::ThermalGrid(ThermalGridParams params)
       power_(tile_count(), 0.0),
       temp_rise_(tile_count(), 0.0) {
   ++stats_.factorizations;
-  static obs::Counter& factorizations =
-      obs::registry().counter("thermal.solve.factorizations");
-  factorizations.add();
 }
 
 std::size_t ThermalGrid::index(std::size_t row, std::size_t col) const {

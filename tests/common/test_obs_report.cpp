@@ -2,15 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
-#include "common/error.hpp"
-#include "common/obs/bench_io.hpp"
-#include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
 #include "common/units.hpp"
 #include "sched/policy.hpp"
@@ -20,7 +16,6 @@ namespace dh {
 namespace {
 
 TEST(ObsTraceReport, ReproducesRecoveryQuantaFromARecordedRun) {
-  obs::set_enabled(true);
   const std::string path =
       testing::TempDir() + "dh_obs_report_sim.jsonl";
   obs::set_trace_sink(std::make_unique<obs::JsonlTraceSink>(path));
@@ -103,46 +98,6 @@ TEST(ObsTraceReport, PrintedReportNamesTheRecoveryQuanta) {
   std::ostringstream os;
   obs::print_trace_report(os, report);
   EXPECT_NE(os.str().find("recovery_quanta = 1"), std::string::npos);
-}
-
-class ObsBenchDirTest : public testing::Test {
- protected:
-  void SetUp() override {
-    const char* prev = std::getenv("DH_BENCH_DIR");
-    if (prev != nullptr) prev_ = prev;
-  }
-  void TearDown() override {
-    if (prev_.empty()) {
-      ::unsetenv("DH_BENCH_DIR");
-    } else {
-      ::setenv("DH_BENCH_DIR", prev_.c_str(), 1);
-    }
-  }
-
- private:
-  std::string prev_;
-};
-
-TEST_F(ObsBenchDirTest, UnsetEnvKeepsRelativeFilename) {
-  ::unsetenv("DH_BENCH_DIR");
-  EXPECT_EQ(obs::json_output_path("BENCH_x.json"), "BENCH_x.json");
-}
-
-TEST_F(ObsBenchDirTest, RoutesIntoDhBenchDirAndCreatesIt) {
-  const std::string dir = testing::TempDir() + "dh_bench_dir_test/nested";
-  ::setenv("DH_BENCH_DIR", dir.c_str(), 1);
-  const std::string path = obs::json_output_path("BENCH_x.json");
-  EXPECT_EQ(path, dir + "/BENCH_x.json");
-  // The directory must exist afterwards — prove it by writing the file.
-  std::ofstream out(path);
-  out << "{}\n";
-  ASSERT_TRUE(out.good());
-}
-
-TEST_F(ObsBenchDirTest, UncreatableDirThrows) {
-  // /proc is not writable: create_directories must fail loudly.
-  ::setenv("DH_BENCH_DIR", "/proc/dh_bench_dir_test", 1);
-  EXPECT_THROW((void)obs::json_output_path("BENCH_x.json"), Error);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
 #include "common/math/linalg.hpp"
 #include "common/parallel.hpp"
@@ -175,6 +176,51 @@ TEST(PdnSolveCache, MatchesUncachedAcrossAgingRun) {
   const auto& st = grid.solve_stats();
   EXPECT_EQ(st.solves, 300u);
   EXPECT_EQ(st.factorizations, 4u);
+  // Every drift solve of this run converged: none fell back.
+  EXPECT_EQ(st.fallback_refactorizations, 0u);
+}
+
+TEST(PdnSolveCache, CountsStalledDriftSolveThatRefactorizes) {
+  // Every segment at a corner pad is broken (CompactEm's 1e9-ohm open
+  // wire) and each node draws 2 A, so the mesh floats ~3e9 V below VDD:
+  // the aged regime of the Fig. 12 chip. A sub-5% drift keeps the cached
+  // factor, but the drift CG stalls at its rounding floor, so the solve
+  // refactorizes and must be counted as a fallback.
+  pdn::PdnParams p;
+  p.rows = p.cols = 4;
+  const pdn::PdnGrid grid{p};
+  const std::vector<double> loads(grid.node_count(), 2.0);
+  std::vector<double> r(grid.segment_count(), 56.0);
+  for (std::size_t s = 0; s < r.size(); ++s) {
+    for (const std::size_t pad : grid.pads()) {
+      if (grid.segment(s).a == pad || grid.segment(s).b == pad) r[s] = 1e9;
+    }
+  }
+  (void)grid.solve(loads, r);
+  EXPECT_EQ(grid.solve_stats().fallback_refactorizations, 0u);
+
+  for (std::size_t s = 1; s < r.size(); s += 2) {
+    if (r[s] < 1e8) r[s] *= 1.003;
+  }
+  const auto cached = grid.solve(loads, r);
+  const auto& st = grid.solve_stats();
+  EXPECT_GT(st.refinement_iterations, 0u);  // the drift CG ran first
+  EXPECT_EQ(st.fallback_refactorizations, 1u);
+  EXPECT_EQ(st.factorizations, 2u);
+  const auto fresh = grid.solve_uncached(loads, r);
+  for (std::size_t i = 0; i < cached.node_voltage.size(); ++i) {
+    EXPECT_NEAR(cached.node_voltage[i], fresh.node_voltage[i],
+                1e-8 * fresh.worst_drop_v);
+  }
+
+  // The count survives a checkpoint round trip with the other stats.
+  ckpt::Serializer out;
+  grid.save_cache(out);
+  pdn::PdnGrid restored{p};
+  ckpt::Deserializer in{out.take()};
+  restored.load_cache(in);
+  EXPECT_EQ(restored.solve_stats().fallback_refactorizations, 1u);
+  EXPECT_EQ(restored.solve_stats().factorizations, 2u);
 }
 
 TEST(PdnSolveCache, AgingPdnUsesFarFewerFactorizationsThanSteps) {

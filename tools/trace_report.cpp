@@ -5,8 +5,8 @@
 //
 // Prints per-category event counts with an attributed wall-time breakdown,
 // per-event-group field summaries (p50/p95/max), and — when the trace
-// contains sim/quantum events — the exact recovery-quanta count the
-// simulator's registry reported while recording.
+// contains sim/quantum events — the recovery-quanta count, equal to
+// SystemSimulator::recovery_quanta() of the recorded run.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
