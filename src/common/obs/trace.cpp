@@ -8,7 +8,6 @@
 #include <mutex>
 
 #include "common/error.hpp"
-#include "common/fault/fault.hpp"
 
 namespace dh::obs {
 
@@ -55,13 +54,6 @@ void append_number(std::string& line, double v) {
 }  // namespace
 
 void JsonlTraceSink::write(const TraceEvent& event) {
-  // _untraced: this runs under the trace dispatcher lock; emitting the
-  // usual fault/inject trace event from here would re-enter and deadlock.
-  if (fault::armed() && fault::should_inject_untraced("io.trace_write")) {
-    ++dropped_;
-    throw Error("trace sink: injected I/O failure (EIO) writing '" +
-                path_ + "'");
-  }
   std::string line;
   line.reserve(96 + 24 * event.field_count);
   line += "{\"cat\":\"";

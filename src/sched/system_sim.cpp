@@ -4,14 +4,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <system_error>
 
 #include "common/ckpt/serialize.hpp"
 #include "common/ckpt/snapshot.hpp"
 #include "common/error.hpp"
-#include "common/fault/fault.hpp"
 #include "common/obs/trace.hpp"
 
 namespace dh::sched {
@@ -36,8 +34,8 @@ pdn::PdnParams match_pdn(pdn::PdnParams p, std::size_t rows,
 
 /// A sensor reading beyond this magnitude is physically impossible (Vth
 /// shifts top out at tens of mV) and is rejected in favour of the last
-/// good value. Far above noise + worst-case shift, so fault-free runs
-/// never trip it and stay bit-identical to pre-degradation builds.
+/// good value. Far above the default noise + worst-case shift, so only a
+/// broken (or very noisy, see SystemParams::sensor_noise) sensor trips it.
 constexpr double kSensorSaneLimitV = 0.5;
 
 /// `name` with every character outside [A-Za-z0-9._-] replaced by '_', so
@@ -65,6 +63,12 @@ SystemSimulator::SystemSimulator(SystemParams params,
   DH_REQUIRE(policy_ != nullptr, "a recovery policy is required");
   DH_REQUIRE(params_.rows >= 2 && params_.cols >= 2,
              "system needs at least a 2x2 core grid");
+  DH_REQUIRE(std::isfinite(params_.quantum.value()) &&
+                 params_.quantum.value() > 0.0,
+             "scheduling quantum must be finite and positive");
+  DH_REQUIRE(std::isfinite(params_.sensor_noise.value()) &&
+                 params_.sensor_noise.value() >= 0.0,
+             "sensor noise sigma must be finite and non-negative");
   const std::size_t n = params_.rows * params_.cols;
   cores_.reserve(n);
   workloads_.reserve(n);
@@ -99,13 +103,6 @@ void SystemSimulator::step() {
   for (std::size_t i = 0; i < n; ++i) {
     const double noise = rng_.normal(0.0, params_.sensor_noise.value());
     double sensed = cores_[i].delta_vth().value() + noise;
-    if (fault::armed()) {
-      if (fault::should_inject("sensor.nan")) {
-        sensed = std::numeric_limits<double>::quiet_NaN();
-      } else if (fault::should_inject("sensor.outlier")) {
-        sensed = 10.0;  // V: orders of magnitude beyond any real shift
-      }
-    }
     if (!std::isfinite(sensed) || std::abs(sensed) > kSensorSaneLimitV) {
       // Graceful degradation: hold the last good reading for this core
       // rather than feeding garbage into the policy's hysteresis.
@@ -257,9 +254,10 @@ void SystemSimulator::run(Seconds lifetime) {
     every = 64;
     if (const char* e = std::getenv("DH_CKPT_EVERY");
         e != nullptr && e[0] != '\0') {
+      // strtoull accepts a sign and whitespace and wraps "-5" to 2^64-5.
       char* end = nullptr;
       const unsigned long long v = std::strtoull(e, &end, 10);
-      if (end == e || *end != '\0' || v == 0) {
+      if (e[0] < '0' || e[0] > '9' || *end != '\0' || v == 0) {
         throw Error(std::string("DH_CKPT_EVERY='") + e +
                     "' must be a positive integer (quanta per checkpoint)");
       }

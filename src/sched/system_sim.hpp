@@ -37,8 +37,8 @@ struct SystemParams {
   thermal::ThermalGridParams thermal{};  // rows/cols overridden to match
   pdn::PdnParams pdn{};                  // rows/cols overridden to match
   em::EmMaterialParams em_material{};
-  Seconds quantum{hours(6.0)};
-  Volts sensor_noise{0.0005};
+  Seconds quantum{hours(6.0)};     // finite, > 0
+  Volts sensor_noise{0.0005};      // Gaussian sigma per reading; finite, >= 0
   std::uint64_t seed = 42;
 };
 
@@ -150,8 +150,7 @@ class SystemSimulator {
   double guardband_ = 0.0;
   double first_failure_s_ = -1.0;
   /// Last accepted per-core sensor reading — the substitute when a read
-  /// comes back non-finite or absurd (fault sites sensor.nan /
-  /// sensor.outlier, or a genuinely broken sensor).
+  /// comes back non-finite or absurd (a broken or very noisy sensor).
   std::vector<double> last_good_sensor_;
   TimeSeries degradation_trace_{"max_degradation", "frac"};
   TimeSeries ir_drop_trace_{"worst_ir_drop", "V"};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -83,6 +84,31 @@ TEST_F(ObsTraceTest, UnwritablePathThrowsDescriptiveError) {
               std::string::npos)
         << "error message should name the offending path";
   }
+}
+
+TEST_F(ObsTraceTest, FullDeviceWriteSurfacesErrorAndCountsDrop) {
+  // /dev/full accepts open() and fails every write with ENOSPC, so the
+  // sink's error path runs on a real I/O failure once the stream buffer
+  // spills.
+  const std::string path = "/dev/full";
+  if (!std::filesystem::exists(path)) GTEST_SKIP() << path << " is absent";
+  auto sink = std::make_unique<obs::JsonlTraceSink>(path);
+  obs::TraceEvent e;
+  e.category = "testcat";
+  e.name = "fill";
+  bool threw = false;
+  for (int i = 0; i < 1000 && !threw; ++i) {
+    try {
+      sink->write(e);
+    } catch (const Error& err) {
+      threw = true;
+      EXPECT_NE(std::string(err.what()).find(path), std::string::npos)
+          << "error message should name the offending path";
+      EXPECT_EQ(sink->dropped(), 1u);
+    }
+  }
+  EXPECT_TRUE(threw) << "1000 writes to " << path << " never failed";
+  EXPECT_NO_THROW(sink.reset());
 }
 
 TEST_F(ObsTraceTest, SinkFlushesOnDestruction) {

@@ -250,6 +250,23 @@ TEST_F(CkptSystemTest, MalformedCkptEveryRejected) {
   EXPECT_THROW(sim.run(days(1.0)), Error);
 }
 
+TEST_F(CkptSystemTest, NegativeCheckpointIntervalIsRejected) {
+  // strtoull would wrap "-5" to 2^64-5, a positive interval no run ever
+  // reaches, silently turning checkpointing off.
+  setenv("DH_CKPT_DIR", dir_.string().c_str(), 1);
+  setenv("DH_CKPT_EVERY", "-5", 1);
+  SystemSimulator sim{small_chip(), adaptive()};
+  try {
+    sim.run(days(60.0));
+    FAIL() << "expected dh::Error for DH_CKPT_EVERY=-5";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("must be a positive integer"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sim.now().value(), 0.0);
+}
+
 TEST_F(CkptSystemTest, PopulationResumeMatchesFreshSweep) {
   // The factory is called once per member that is computed, not resumed.
   std::atomic<std::size_t> factory_calls{0};
