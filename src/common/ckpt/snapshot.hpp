@@ -4,8 +4,8 @@
 //   bytes 0-3   magic "DHCK"
 //   bytes 4-7   u32 schema version (kSchemaVersion)
 //
-//   u64 kind length + kind bytes   what the payload holds ("system_sim",
-//                                  "population_member", ...)
+//   u64 kind length + kind bytes   what the payload holds ("system_sim"
+//                                  for SystemSimulator checkpoints)
 //   u64 payload length
 //   u32 CRC-32 of the payload
 //   payload bytes
@@ -53,8 +53,8 @@ void write_snapshot(const std::string& path, const std::string& kind,
                                                   bool* crc_ok = nullptr);
 
 /// True if `path` exists and read_snapshot(path, expected_kind) would
-/// succeed. Never throws — the resume path uses this to treat a corrupt
-/// per-member checkpoint as simply "not done yet".
+/// succeed. Never throws — SystemSimulator::run uses this to start fresh
+/// instead of resuming from a missing or corrupt DH_CKPT_DIR snapshot.
 [[nodiscard]] bool snapshot_valid(const std::string& path,
                                   const std::string& expected_kind) noexcept;
 

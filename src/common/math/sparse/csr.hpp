@@ -34,8 +34,8 @@ class CsrMatrix {
     return col_idx_;
   }
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
-  /// Mutable values with the fixed sparsity pattern (e.g. bumping the
-  /// diagonal for a backward-Euler shift without re-assembly).
+  /// Mutable values with the fixed sparsity pattern (e.g. drifting a
+  /// matrix in place without re-assembly).
   [[nodiscard]] std::vector<double>& values() { return values_; }
 
   /// Entry (r, c); 0 when outside the pattern. Binary search within the
@@ -53,7 +53,7 @@ class CsrMatrix {
   /// the assembly paths add both halves from the same expression).
   [[nodiscard]] bool is_symmetric() const;
 
-  /// Dense copy, for the last-resort dense fallback and for tests.
+  /// Dense copy, for dense-reference agreement tests.
   [[nodiscard]] Matrix to_dense() const;
 
  private:
@@ -81,8 +81,7 @@ class CsrBuilder {
   /// by construction).
   void add_edge(std::size_t a, std::size_t b, double g);
 
-  /// Diagonal grounding term (pad conductance, vertical conductance,
-  /// backward-Euler C/dt shift).
+  /// Diagonal grounding term (pad conductance, vertical conductance).
   void add_diagonal(std::size_t i, double g) { add(i, i, g); }
 
   /// Sort + merge into an immutable CSR. The builder is left empty.

@@ -37,10 +37,10 @@ class SpdSolver {
   explicit SpdSolver(CsrMatrix a);
 
   /// Solves A x = b by back-substitution, refined by CG preconditioned
-  /// with the factor when the true relative residual exceeds 1e-10.
-  /// Records into the `solver.cg_iters` histogram / `solver.residual`
-  /// gauge. Throws dh::Error if refinement stalls above 1e-4 — on an SPD
-  /// system that means singular/ill-posed input.
+  /// with the factor when the true relative residual exceeds 1e-10; the
+  /// iteration count and residual land in `info`. Throws dh::Error if
+  /// refinement stalls above 1e-4 — on an SPD system that means
+  /// singular/ill-posed input.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b,
                                           SpdSolveInfo* info = nullptr) const;
 

@@ -11,6 +11,7 @@
 namespace dh {
 
 void TimeSeries::append(Seconds t, double value) {
+  DH_REQUIRE(!std::isnan(t.value()), "time series sample time is NaN");
   DH_REQUIRE(times_.empty() || t.value() >= times_.back(),
              "time series samples must be appended in time order");
   times_.push_back(t.value());
@@ -50,6 +51,7 @@ double TimeSeries::back_value() const {
 double TimeSeries::sample(Seconds t) const {
   DH_REQUIRE(!times_.empty(), "cannot sample an empty time series");
   const double x = t.value();
+  DH_REQUIRE(!std::isnan(x), "cannot sample a time series at a NaN time");
   if (x <= times_.front()) return values_.front();
   if (x >= times_.back()) return values_.back();
   const auto it = std::upper_bound(times_.begin(), times_.end(), x);
@@ -72,20 +74,6 @@ double TimeSeries::max_value() const {
   return *std::max_element(values_.begin(), values_.end());
 }
 
-Seconds TimeSeries::first_upcross(double threshold) const {
-  for (std::size_t i = 0; i + 1 < times_.size(); ++i) {
-    if (values_[i] < threshold && values_[i + 1] >= threshold) {
-      const double dv = values_[i + 1] - values_[i];
-      const double w = dv == 0.0 ? 0.0 : (threshold - values_[i]) / dv;
-      return Seconds{times_[i] + w * (times_[i + 1] - times_[i])};
-    }
-  }
-  if (!values_.empty() && values_.front() >= threshold) {
-    return Seconds{times_.front()};
-  }
-  return Seconds{-1.0};
-}
-
 TimeSeries TimeSeries::resampled(std::size_t n) const {
   DH_REQUIRE(n >= 2, "resampling needs at least two points");
   DH_REQUIRE(!times_.empty(), "cannot resample an empty series");
@@ -106,32 +94,6 @@ TimeSeries TimeSeries::scaled(double factor) const {
     out.append(Seconds{times_[i]}, values_[i] * factor);
   }
   return out;
-}
-
-void write_csv(std::ostream& os, const std::vector<TimeSeries>& series) {
-  std::size_t max_rows = 0;
-  for (const auto& s : series) max_rows = std::max(max_rows, s.size());
-  bool first = true;
-  for (const auto& s : series) {
-    if (!first) os << ',';
-    os << "t_" << s.name() << "(s)," << s.name();
-    if (!s.unit().empty()) os << '(' << s.unit() << ')';
-    first = false;
-  }
-  os << '\n';
-  for (std::size_t r = 0; r < max_rows; ++r) {
-    first = true;
-    for (const auto& s : series) {
-      if (!first) os << ',';
-      if (r < s.size()) {
-        os << s.time_at(r).value() << ',' << s.value_at(r);
-      } else {
-        os << ',';
-      }
-      first = false;
-    }
-    os << '\n';
-  }
 }
 
 void print_series_table(std::ostream& os,

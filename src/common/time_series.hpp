@@ -23,7 +23,7 @@ class TimeSeries {
   TimeSeries(std::string name, std::string unit)
       : name_(std::move(name)), unit_(std::move(unit)) {}
 
-  /// Append a sample; time must be non-decreasing.
+  /// Append a sample; time must be non-NaN and non-decreasing.
   void append(Seconds t, double value);
 
   [[nodiscard]] std::size_t size() const { return times_.size(); }
@@ -37,15 +37,12 @@ class TimeSeries {
   [[nodiscard]] double front_value() const;
   [[nodiscard]] double back_value() const;
 
-  /// Linear interpolation at time t (clamped to the series range).
+  /// Linear interpolation at time t (clamped to the series range); t must
+  /// not be NaN.
   [[nodiscard]] double sample(Seconds t) const;
 
   [[nodiscard]] double min_value() const;
   [[nodiscard]] double max_value() const;
-
-  /// First time the series crosses `threshold` going upward (linear
-  /// interpolation between samples); returns negative Seconds if never.
-  [[nodiscard]] Seconds first_upcross(double threshold) const;
 
   /// Resample onto a uniform grid of n points across the series range.
   [[nodiscard]] TimeSeries resampled(std::size_t n) const;
@@ -72,10 +69,6 @@ class TimeSeries {
   std::vector<double> times_;   // seconds
   std::vector<double> values_;
 };
-
-/// Write one or more series (sharing no time base; each gets its own
-/// time column) as CSV: t_<name>,<name>,t_<name2>,<name2>,...
-void write_csv(std::ostream& os, const std::vector<TimeSeries>& series);
 
 /// Render aligned series values at shared sample times for terminal
 /// output; used by the figure-reproduction benches.

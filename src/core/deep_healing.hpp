@@ -14,12 +14,11 @@
 //   dh::logic   — signal-probability logic aging + aging-aware STA
 //   dh::pdn     — power grid IR solve + per-segment EM aging
 //   dh::sched   — cores, workloads, recovery policies, lifetime simulator
-//   dh::core    — paper protocols, rejuvenation planning, run-time control
+//   dh::core    — paper protocols, EM recovery planning
 #pragma once
 
 #include "circuit/assist.hpp"
 #include "core/accelerated_test.hpp"
-#include "core/recovery_controller.hpp"
 #include "core/rejuvenation_planner.hpp"
 #include "device/bti_model.hpp"
 #include "device/calibration.hpp"

@@ -33,7 +33,8 @@ class RingOscillator {
                                    double mobility_factor = 1.0) const;
 
   /// Inverts the frequency readout into an apparent Vth shift (what a
-  /// frequency-based wearout sensor reports). Monotonic bisection.
+  /// frequency-based wearout sensor reports). Brent root find on the
+  /// monotonic frequency curve.
   [[nodiscard]] Volts infer_delta_vth(Hertz measured) const;
 
   [[nodiscard]] const RingOscillatorParams& params() const { return params_; }

@@ -239,7 +239,9 @@ void SystemSimulator::step() {
 }
 
 void SystemSimulator::run(Seconds lifetime) {
-  DH_REQUIRE(lifetime.value() > 0.0, "lifetime must be positive");
+  // An infinite lifetime would make the step-count cast below undefined.
+  DH_REQUIRE(std::isfinite(lifetime.value()) && lifetime.value() > 0.0,
+             "lifetime must be finite and positive");
   // Run exactly ceil(lifetime / quantum) steps total (absolute target, so
   // repeated run() calls compose). The 1e-9 slack keeps an exact multiple
   // from rounding up on floating-point noise in the division.
@@ -263,8 +265,8 @@ void SystemSimulator::run(Seconds lifetime) {
       }
       every = static_cast<std::size_t>(v);
     }
-    // Seed- and policy-qualified name, so concurrent population members
-    // and the policies of one sweep never share a file.
+    // Seed- and policy-qualified name, so concurrent simulators with
+    // different seeds and the policies of one sweep never share a file.
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // best-effort; write errors
                                                    // surface with the path

@@ -67,9 +67,9 @@ class SystemSimulator {
   /// Advance one scheduling quantum.
   void step();
 
-  /// Run until `lifetime` has elapsed. When the DH_CKPT_DIR environment
-  /// variable names a directory, the run checkpoints itself there every
-  /// DH_CKPT_EVERY quanta (default 64) under
+  /// Run until `lifetime` (finite, > 0) has elapsed. When the DH_CKPT_DIR
+  /// environment variable names a directory, the run checkpoints itself
+  /// there every DH_CKPT_EVERY quanta (default 64) under
   /// `<dir>/sim_seed<seed>_<policy name>.dhck` (characters outside
   /// [A-Za-z0-9._-] in the name become '_'), and — if a valid checkpoint
   /// for this configuration already exists and no steps have run yet —

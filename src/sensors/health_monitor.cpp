@@ -1,5 +1,7 @@
 #include "sensors/health_monitor.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/obs/trace.hpp"
 
@@ -13,6 +15,10 @@ HealthMonitor::HealthMonitor(HealthMonitorParams params) : params_(params) {
 }
 
 double HealthMonitor::update(double reading) {
+  // A non-finite reading would turn the estimate NaN, after which no
+  // comparison holds and the alarm latches; hold the last estimate
+  // instead, as SystemSimulator holds its last good sensor reading.
+  if (!std::isfinite(reading)) return estimate_;
   if (readings_ == 0) {
     estimate_ = reading;
   } else {

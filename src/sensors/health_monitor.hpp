@@ -24,7 +24,8 @@ class HealthMonitor {
   explicit HealthMonitor(HealthMonitorParams params);
 
   /// Feed one raw reading (e.g. sensed dVth in volts, or EM life
-  /// fraction); returns the smoothed estimate.
+  /// fraction); returns the smoothed estimate. A non-finite reading is
+  /// skipped: estimate, alarm and reading count stay unchanged.
   double update(double reading);
 
   [[nodiscard]] double estimate() const { return estimate_; }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -35,6 +36,20 @@ TEST(TimeSeries, RejectsOutOfOrderAppend) {
   EXPECT_NO_THROW(s.append(Seconds{5.0}, 3.0));
 }
 
+TEST(TimeSeries, RejectsNaNTime) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const TimeSeries s = ramp();
+  EXPECT_THROW((void)s.sample(Seconds{nan}), Error);
+
+  // A NaN first sample must not poison the series for later appends.
+  TimeSeries fresh;
+  EXPECT_THROW(fresh.append(Seconds{nan}, 1.0), Error);
+  EXPECT_TRUE(fresh.empty());
+  EXPECT_NO_THROW(fresh.append(Seconds{1.0}, 2.0));
+  EXPECT_THROW(fresh.append(Seconds{nan}, 3.0), Error);
+  EXPECT_EQ(fresh.size(), 1u);
+}
+
 TEST(TimeSeries, LinearSampling) {
   const TimeSeries s = ramp();
   EXPECT_DOUBLE_EQ(s.sample(Seconds{5.0}), 0.5);
@@ -50,14 +65,6 @@ TEST(TimeSeries, MinMax) {
   EXPECT_DOUBLE_EQ(s.max_value(), 3.0);
 }
 
-TEST(TimeSeries, FirstUpcrossInterpolates) {
-  const TimeSeries s = ramp();
-  // Crosses 2.0 halfway between t=10 (v=1) and t=20 (v=3).
-  EXPECT_NEAR(s.first_upcross(2.0).value(), 15.0, 1e-12);
-  // Never crosses 5.0.
-  EXPECT_LT(s.first_upcross(5.0).value(), 0.0);
-}
-
 TEST(TimeSeries, Resample) {
   const TimeSeries s = ramp();
   const TimeSeries r = s.resampled(5);
@@ -71,14 +78,6 @@ TEST(TimeSeries, Scaled) {
   const TimeSeries s = ramp().scaled(2.0);
   EXPECT_DOUBLE_EQ(s.back_value(), 6.0);
   EXPECT_EQ(s.size(), 3u);
-}
-
-TEST(TimeSeries, CsvOutput) {
-  std::ostringstream os;
-  write_csv(os, {ramp()});
-  const std::string text = os.str();
-  EXPECT_NE(text.find("t_ramp(s),ramp(V)"), std::string::npos);
-  EXPECT_NE(text.find("20,3"), std::string::npos);
 }
 
 TEST(TimeSeries, PrintTableAlignsRows) {

@@ -1,14 +1,12 @@
 // Checkpoint/restore property tests at the system level: save → restore
-// → run(T') must be bit-identical to an uninterrupted run(T+T') — for a
-// single simulator and for population sweeps, at 1, 4, and 8 threads —
+// → run(T') must be bit-identical to an uninterrupted run(T+T') at 1, 4,
+// and 8 threads, DH_CKPT_DIR-driven runs must resume their own snapshot,
 // and any snapshot that does not match this build/configuration must be
 // refused with a descriptive dh::Error before state is touched.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +15,6 @@
 #include "common/ckpt/snapshot.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "sched/population.hpp"
 #include "sched/system_sim.hpp"
 
 namespace dh::sched {
@@ -265,92 +262,6 @@ TEST_F(CkptSystemTest, NegativeCheckpointIntervalIsRejected) {
         << e.what();
   }
   EXPECT_EQ(sim.now().value(), 0.0);
-}
-
-TEST_F(CkptSystemTest, PopulationResumeMatchesFreshSweep) {
-  // The factory is called once per member that is computed, not resumed.
-  std::atomic<std::size_t> factory_calls{0};
-  const auto factory = [&](std::size_t) {
-    ++factory_calls;
-    return adaptive();
-  };
-  const SystemParams base = small_chip(21);
-  constexpr std::size_t kCount = 6;
-  const Seconds lifetime = days(20.0);
-
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    set_global_thread_count(threads);
-    const fs::path sweep = dir_ / ("sweep_t" + std::to_string(threads));
-    fs::create_directories(sweep);
-
-    const auto plain = run_population(base, kCount, lifetime, factory);
-    factory_calls = 0;
-    const auto fresh =
-        run_population(base, kCount, lifetime, factory, sweep.string());
-    EXPECT_EQ(factory_calls.load(), kCount);
-    ASSERT_EQ(plain.size(), fresh.size());
-    for (std::size_t i = 0; i < kCount; ++i) {
-      expect_bit_identical(plain[i], fresh[i]);
-    }
-
-    // Completion bitmap: everything done.
-    for (const bool done : population_completion(sweep.string(), kCount)) {
-      EXPECT_TRUE(done);
-    }
-
-    // Second run resumes every member from disk, bit-identically.
-    factory_calls = 0;
-    const auto resumed =
-        run_population(base, kCount, lifetime, factory, sweep.string());
-    EXPECT_EQ(factory_calls.load(), 0u);
-    for (std::size_t i = 0; i < kCount; ++i) {
-      expect_bit_identical(plain[i], resumed[i]);
-    }
-  }
-}
-
-TEST_F(CkptSystemTest, PopulationRecomputesMissingAndCorruptMembers) {
-  const auto factory = [](std::size_t) { return adaptive(); };
-  const SystemParams base = small_chip(22);
-  constexpr std::size_t kCount = 4;
-  const Seconds lifetime = days(20.0);
-
-  const auto first =
-      run_population(base, kCount, lifetime, factory, dir_.string());
-
-  // Simulate a crash that lost one member and corrupted another.
-  fs::remove(dir_ / "member_1.dhck");
-  { std::ofstream(dir_ / "member_2.dhck") << "garbage"; }
-  const auto done = population_completion(dir_.string(), kCount);
-  EXPECT_TRUE(done[0]);
-  EXPECT_FALSE(done[1]);
-  EXPECT_FALSE(done[2]);
-  EXPECT_TRUE(done[3]);
-
-  const auto second =
-      run_population(base, kCount, lifetime, factory, dir_.string());
-  for (std::size_t i = 0; i < kCount; ++i) {
-    expect_bit_identical(first[i], second[i]);
-  }
-}
-
-TEST_F(CkptSystemTest, PopulationManifestGuardsAgainstSweepMixing) {
-  const auto factory = [](std::size_t) { return adaptive(); };
-  const SystemParams base = small_chip(23);
-  (void)run_population(base, 2, days(10.0), factory, dir_.string());
-
-  // Different member count, lifetime, or base seed → refuse the directory.
-  EXPECT_THROW(
-      (void)run_population(base, 3, days(10.0), factory, dir_.string()),
-      Error);
-  EXPECT_THROW(
-      (void)run_population(base, 2, days(11.0), factory, dir_.string()),
-      Error);
-  SystemParams other = base;
-  other.seed = 99;
-  EXPECT_THROW(
-      (void)run_population(other, 2, days(10.0), factory, dir_.string()),
-      Error);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Determinism and caching regressions for the parallel-execution layer:
-// population Monte-Carlo paths must be bit-identical at 1, 2, and 8
+// work mapped over the pool (EM wire TTFs, SRAM scans, whole
+// SystemSimulator lifetimes) must be bit-identical at 1, 2, and 8
 // threads, and the cached PDN solve must match a fresh dense solve across
 // a full aging run. These carry the ctest label `parallel` so the tier-1
 // line can run them under TSan (-DDH_SANITIZE=thread).
@@ -19,7 +20,7 @@
 #include "pdn/aging_pdn.hpp"
 #include "pdn/pdn_grid.hpp"
 #include "sched/policy.hpp"
-#include "sched/population.hpp"
+#include "sched/system_sim.hpp"
 #include "sram/sram_array.hpp"
 
 namespace dh {
@@ -94,19 +95,26 @@ TEST_F(ParallelDeterminism, SramScanBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(ParallelDeterminism, SystemPopulationBitIdenticalAcrossThreadCounts) {
+TEST_F(ParallelDeterminism, SystemSimulatorsBitIdenticalAcrossThreadCounts) {
   sched::SystemParams base;
   base.rows = base.cols = 2;
   base.quantum = hours(24.0);
   // A bursty (Markov) workload consumes the per-member random stream, so
   // different member seeds genuinely diverge.
   base.workload.kind = sched::WorkloadKind::kBursty;
+  // Member i owns its simulator and derives its seed from (base seed, i)
+  // alone, so the mapped lifetimes cannot depend on the thread count.
+  const auto lifetime = [&base](std::size_t i) {
+    sched::SystemParams p = base;
+    p.seed = Rng::stream_seed(base.seed, i);
+    sched::SystemSimulator sim{p, sched::make_periodic_active_policy()};
+    sim.run(days(20.0));
+    return sim.summary();
+  };
   std::vector<std::vector<sched::SystemSummary>> runs;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     set_global_thread_count(threads);
-    runs.push_back(sched::run_population(
-        base, 6, days(20.0),
-        [](std::size_t) { return sched::make_periodic_active_policy(); }));
+    runs.push_back(parallel_map(6, lifetime));
   }
   for (std::size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[0].size(), runs[r].size());
@@ -122,20 +130,6 @@ TEST_F(ParallelDeterminism, SystemPopulationBitIdenticalAcrossThreadCounts) {
   }
   // Members differ from each other (seeds actually varied).
   EXPECT_NE(runs[0][0].energy_joules, runs[0][1].energy_joules);
-}
-
-TEST_F(ParallelDeterminism, PopulationAggregatesAreConsistent) {
-  sched::SystemParams base;
-  base.rows = base.cols = 2;
-  base.quantum = hours(24.0);
-  const auto members = sched::run_population(
-      base, 5, days(10.0),
-      [](std::size_t) { return sched::make_periodic_active_policy(); });
-  const auto agg = sched::aggregate_population(members);
-  EXPECT_EQ(agg.members, 5u);
-  EXPECT_GE(agg.mean_availability, 0.0);
-  EXPECT_LE(agg.min_availability, agg.mean_availability);
-  EXPECT_GE(agg.worst_guardband, agg.mean_guardband);
 }
 
 TEST(PdnSolveCache, MatchesUncachedAcrossAgingRun) {

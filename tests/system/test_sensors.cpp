@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "em/em_sensor.hpp"
 #include "sensors/em_canary.hpp"
@@ -146,6 +148,28 @@ TEST(HealthMonitor, AlarmHysteresis) {
   EXPECT_TRUE(m.alarm());
   (void)m.update(0.002);
   EXPECT_FALSE(m.alarm());
+}
+
+TEST(HealthMonitor, NonFiniteReadingIsSkipped) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A tripped alarm must still clear after a NaN reading.
+  HealthMonitor tripped{
+      HealthMonitorParams{.ewma_alpha = 0.5, .trip = 0.01, .clear = 0.004}};
+  (void)tripped.update(0.02);
+  ASSERT_TRUE(tripped.alarm());
+  EXPECT_DOUBLE_EQ(tripped.update(nan), 0.02);
+  EXPECT_TRUE(tripped.alarm());
+  EXPECT_EQ(tripped.readings(), 1u);
+  for (int i = 0; i < 8; ++i) (void)tripped.update(0.0);
+  EXPECT_FALSE(tripped.alarm());
+
+  // A NaN before any valid reading must not seed the estimate.
+  HealthMonitor fresh{HealthMonitorParams{.ewma_alpha = 0.1}};
+  (void)fresh.update(std::numeric_limits<double>::infinity());
+  (void)fresh.update(nan);
+  EXPECT_EQ(fresh.readings(), 0u);
+  EXPECT_DOUBLE_EQ(fresh.update(0.003), 0.003);
+  EXPECT_DOUBLE_EQ(fresh.estimate(), 0.003);
 }
 
 TEST(HealthMonitor, FirstReadingSeedsEstimate) {

@@ -158,6 +158,18 @@ TEST(SystemSim, RejectsNonPhysicalQuantumAndSensorNoise) {
   }
 }
 
+TEST(SystemSim, RejectsNonFiniteOrNonPositiveLifetime) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Seconds lifetime :
+       {Seconds{0.0}, -days(1.0), Seconds{nan}, Seconds{inf}}) {
+    SystemSimulator sim{small_system(), make_no_recovery_policy()};
+    EXPECT_THROW(sim.run(lifetime), dh::Error)
+        << "lifetime " << lifetime.value() << " s";
+    EXPECT_EQ(sim.now().value(), 0.0);
+  }
+}
+
 /// Adaptive-sensor run on a 2x2 chip at seed 5 for 30 days with the given
 /// per-reading sensor noise.
 SystemSimulator run_adaptive(Volts sensor_noise) {
