@@ -1,11 +1,9 @@
-// Source waveforms for the circuit simulator: DC, pulse, and
-// piecewise-linear, mirroring the SPICE primitives the paper's 28 nm
-// FD-SOI validation (Fig. 9) would have used.
+// Source waveforms for the circuit simulator: DC and a single linear
+// step, all the Fig. 8 assist circuitry needs for its supplies and gate
+// drives.
 #pragma once
 
 #include <vector>
-
-#include "common/units.hpp"
 
 namespace dh::circuit {
 
@@ -13,16 +11,6 @@ class Waveform {
  public:
   /// Constant value.
   [[nodiscard]] static Waveform dc(double value);
-
-  /// SPICE-style pulse: v1 -> v2 with delay, rise/fall, width, period.
-  [[nodiscard]] static Waveform pulse(double v1, double v2, double delay_s,
-                                      double rise_s, double fall_s,
-                                      double width_s, double period_s);
-
-  /// Piecewise linear through (time, value) points (times increasing);
-  /// clamps outside the range.
-  [[nodiscard]] static Waveform pwl(std::vector<double> times,
-                                    std::vector<double> values);
 
   /// A single step from v1 to v2 at t0 with linear transition `ramp_s`.
   [[nodiscard]] static Waveform step(double v1, double v2, double t0_s,
@@ -32,11 +20,13 @@ class Waveform {
 
  private:
   Waveform() = default;
-  enum class Kind { kDc, kPulse, kPwl } kind_ = Kind::kDc;
+  /// Piecewise linear through (time, value) points (times increasing);
+  /// clamps outside the range.
+  [[nodiscard]] static Waveform pwl(std::vector<double> times,
+                                    std::vector<double> values);
+
+  enum class Kind { kDc, kPwl } kind_ = Kind::kDc;
   double dc_ = 0.0;
-  // pulse
-  double v1_ = 0.0, v2_ = 0.0, delay_ = 0.0, rise_ = 0.0, fall_ = 0.0,
-         width_ = 0.0, period_ = 0.0;
   // pwl
   std::vector<double> times_;
   std::vector<double> values_;

@@ -11,6 +11,7 @@ double interp_linear(std::span<const double> xs, std::span<const double> ys,
                      double x) {
   DH_REQUIRE(xs.size() == ys.size() && xs.size() >= 2,
              "interpolation table needs >= 2 matched points");
+  DH_REQUIRE(!std::isnan(x), "interpolation point is NaN");
   if (x <= xs.front()) return ys.front();
   if (x >= xs.back()) return ys.back();
   const auto it = std::upper_bound(xs.begin(), xs.end(), x);
@@ -18,16 +19,6 @@ double interp_linear(std::span<const double> xs, std::span<const double> ys,
   const std::size_t lo = hi - 1;
   const double w = (x - xs[lo]) / (xs[hi] - xs[lo]);
   return ys[lo] * (1.0 - w) + ys[hi] * w;
-}
-
-double trapezoid(std::span<const double> xs, std::span<const double> ys) {
-  DH_REQUIRE(xs.size() == ys.size() && xs.size() >= 2,
-             "quadrature table needs >= 2 matched points");
-  double acc = 0.0;
-  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
-    acc += 0.5 * (ys[i] + ys[i + 1]) * (xs[i + 1] - xs[i]);
-  }
-  return acc;
 }
 
 std::vector<double> linspace(double lo, double hi, std::size_t n) {

@@ -1,5 +1,5 @@
-// Piecewise-linear interpolation and quadrature on tabulated functions —
-// used by the trap-density calibration and the Korhonen grid.
+// Piecewise-linear interpolation on tabulated functions and grid
+// builders — used by the trap-density calibration and the Korhonen grid.
 #pragma once
 
 #include <span>
@@ -8,13 +8,9 @@
 namespace dh::math {
 
 /// Linear interpolation of (xs, ys) at x, clamped to the table range.
-/// xs must be strictly increasing.
+/// xs must be strictly increasing; a NaN x throws dh::Error.
 [[nodiscard]] double interp_linear(std::span<const double> xs,
                                    std::span<const double> ys, double x);
-
-/// Trapezoidal integral of tabulated ys over xs.
-[[nodiscard]] double trapezoid(std::span<const double> xs,
-                               std::span<const double> ys);
 
 /// Uniformly spaced grid of n points on [lo, hi] inclusive.
 [[nodiscard]] std::vector<double> linspace(double lo, double hi,

@@ -137,10 +137,4 @@ double norm2(std::span<const double> v) {
   return std::sqrt(acc);
 }
 
-double norm_inf(std::span<const double> v) {
-  double acc = 0.0;
-  for (const double x : v) acc = std::max(acc, std::abs(x));
-  return acc;
-}
-
 }  // namespace dh::math

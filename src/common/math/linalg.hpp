@@ -90,7 +90,4 @@ void solve_tridiagonal(std::span<const double> lower,
 /// Euclidean norm.
 [[nodiscard]] double norm2(std::span<const double> v);
 
-/// Infinity norm.
-[[nodiscard]] double norm_inf(std::span<const double> v);
-
 }  // namespace dh::math

@@ -34,23 +34,6 @@ class IdentityPreconditioner final : public Preconditioner {
   }
 };
 
-struct CgOptions {
-  /// Converged when ||r||_2 <= rel_tolerance * ||b||_2 (plus a tiny
-  /// absolute floor so b = 0 returns x = 0 immediately). 1e-13 is tight
-  /// enough for drift-refined PDN solves to agree with a fresh dense
-  /// solve to 1e-10, and ~500x above double-precision epsilon, so
-  /// well-conditioned systems reach it instead of stagnating below it.
-  double rel_tolerance = 1e-13;
-  /// 0 = automatic: 10 n + 200. CG in exact arithmetic needs <= n.
-  std::size_t max_iterations = 0;
-  /// Abort early when the residual has not improved by at least 1% over
-  /// this many iterations (rounding floor reached); the best iterate so
-  /// far is returned. 0 disables. A drifted PDN solve that plateaus here
-  /// above the acceptance bound refactorizes rather than burning a
-  /// longer window.
-  std::size_t stagnation_window = 50;
-};
-
 struct CgResult {
   std::size_t iterations = 0;
   double residual_norm = 0.0;  // ||b - A x||_2 of the returned iterate
@@ -59,11 +42,16 @@ struct CgResult {
 
 /// Solves A x = b with preconditioner M, starting from the contents of
 /// `x` (resize/zero it for a cold start). Returns the best iterate found.
+/// Converged when ||r||_2 <= rel_tolerance * ||b||_2 (plus a tiny
+/// absolute floor so b = 0 returns x = 0 immediately). Gives up after
+/// 10 n + 200 iterations (CG in exact arithmetic needs <= n), or early
+/// when the residual has not improved by 1% over 50 iterations (the
+/// rounding floor).
 /// Throws dh::Error when A or M is detected indefinite (p'Ap <= 0 or
 /// r'M^-1r < 0 — the SPD contract is broken, e.g. an asymmetric or
 /// negative-conductance assembly).
 CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
                    const Preconditioner& m, std::vector<double>& x,
-                   const CgOptions& opts = {});
+                   double rel_tolerance);
 
 }  // namespace dh::math::sparse

@@ -80,10 +80,6 @@ class KorhonenSolver {
   /// ends are blocked (used by the property tests).
   [[nodiscard]] double stress_integral() const;
 
-  [[nodiscard]] const std::vector<double>& grid() const { return x_; }
-  [[nodiscard]] const std::vector<double>& stress_profile() const {
-    return sigma_;
-  }
 
   [[nodiscard]] const WireGeometry& wire() const { return wire_; }
   [[nodiscard]] const EmMaterialParams& material() const { return material_; }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -34,26 +35,22 @@ TEST(Mna, VoltageSourceBranchCurrent) {
   EXPECT_NEAR(sol.branch_current(vs.index), -0.05, 1e-6);
 }
 
-TEST(Mna, CurrentSourceIntoResistor) {
-  Circuit c;
-  const NodeId n = c.add_node("n");
-  c.add_current_source(Circuit::ground(), n, Waveform::dc(0.01));
-  c.add_resistor(n, Circuit::ground(), Ohms{500.0});
-  const DcSolution sol = c.solve_dc();
-  EXPECT_NEAR(sol.voltage(n), 5.0, 1e-6);
-}
-
 TEST(Mna, SuperpositionOfSources) {
+  // 2 V through 1k and 3 V through 2k into node b, 1k from b to ground.
   Circuit c;
   const NodeId a = c.add_node("a");
   const NodeId b = c.add_node("b");
+  const NodeId d = c.add_node("d");
   (void)c.add_voltage_source(a, Circuit::ground(), Waveform::dc(2.0));
+  (void)c.add_voltage_source(d, Circuit::ground(), Waveform::dc(3.0));
   c.add_resistor(a, b, Ohms{1000.0});
+  c.add_resistor(d, b, Ohms{2000.0});
   c.add_resistor(b, Circuit::ground(), Ohms{1000.0});
-  c.add_current_source(Circuit::ground(), b, Waveform::dc(0.001));
   const DcSolution sol = c.solve_dc();
-  // v(b) = 2*0.5 + 1mA*(500) = 1 + 0.5.
-  EXPECT_NEAR(sol.voltage(b), 1.5, 1e-6);
+  // Each source alone divides against the other two resistors in
+  // parallel: 2 * (2k||1k) / (1k + 2k||1k) + 3 * (1k||1k) / (2k + 1k||1k)
+  // = 0.8 + 0.6.
+  EXPECT_NEAR(sol.voltage(b), 1.4, 1e-6);
 }
 
 TEST(Mna, CapacitorOpenAtDc) {
@@ -68,19 +65,6 @@ TEST(Mna, CapacitorOpenAtDc) {
   EXPECT_NEAR(sol.voltage(b), 1.0, 1e-6);
 }
 
-TEST(Mna, SwitchTogglesConduction) {
-  Circuit c;
-  const NodeId a = c.add_node("a");
-  const NodeId b = c.add_node("b");
-  (void)c.add_voltage_source(a, Circuit::ground(), Waveform::dc(1.0));
-  const SwitchId sw = c.add_switch(a, b, Ohms{1.0});
-  c.add_resistor(b, Circuit::ground(), Ohms{999.0});
-  c.set_switch(sw, false);
-  EXPECT_LT(c.solve_dc().voltage(b), 0.01);
-  c.set_switch(sw, true);
-  EXPECT_NEAR(c.solve_dc().voltage(b), 0.999, 1e-6);
-}
-
 TEST(Mna, DiodeConnectedMosfetSettles) {
   Circuit c;
   const NodeId vdd = c.add_node("vdd");
@@ -88,7 +72,7 @@ TEST(Mna, DiodeConnectedMosfetSettles) {
   (void)c.add_voltage_source(vdd, Circuit::ground(), Waveform::dc(1.0));
   c.add_resistor(vdd, d, Ohms{10000.0});
   MosfetParams m;  // NMOS, vth 0.3
-  (void)c.add_mosfet(m, d, d, Circuit::ground());
+  c.add_mosfet(m, d, d, Circuit::ground());
   const DcSolution sol = c.solve_dc();
   // Gate-drain tied: settles a bit above threshold.
   EXPECT_GT(sol.voltage(d), 0.3);
@@ -106,8 +90,8 @@ TEST(Mna, CmosInverterTransfersLogic) {
   MosfetParams n;
   MosfetParams p;
   p.polarity = MosPolarity::kPmos;
-  (void)c.add_mosfet(p, in, out, vdd);
-  (void)c.add_mosfet(n, in, out, Circuit::ground());
+  c.add_mosfet(p, in, out, vdd);
+  c.add_mosfet(n, in, out, Circuit::ground());
   (void)vin;
   // Input low -> output high.
   EXPECT_GT(c.solve_dc().voltage(out), 0.95);
@@ -140,6 +124,27 @@ TEST(Mna, TransientTraceLabels) {
       1e-6, 1e-7, {{Probe::Kind::kNodeVoltage, a, "va"}});
   EXPECT_NO_THROW((void)tr.trace("va"));
   EXPECT_THROW((void)tr.trace("nope"), Error);
+}
+
+TEST(Mna, TransientRejectsBadProbesAndTimes) {
+  Circuit c;
+  const NodeId a = c.add_node("a");
+  (void)c.add_voltage_source(a, Circuit::ground(), Waveform::dc(1.0));
+  c.add_resistor(a, Circuit::ground(), Ohms{1.0});
+  EXPECT_THROW((void)c.solve_transient(
+                   1e-6, 1e-7, {{Probe::Kind::kNodeVoltage, 7, "v7"}}),
+               Error);
+  EXPECT_THROW((void)c.solve_transient(
+                   1e-6, 1e-7, {{Probe::Kind::kVsourceCurrent, 1, "i1"}}),
+               Error);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)c.solve_transient(
+                   inf, 1e-7, {{Probe::Kind::kNodeVoltage, a, "va"}}),
+               Error);
+  // The valid extremes still pass: ground and the last source.
+  EXPECT_NO_THROW((void)c.solve_transient(
+      1e-6, 1e-7, {{Probe::Kind::kNodeVoltage, Circuit::ground(), "g"},
+                   {Probe::Kind::kVsourceCurrent, 0, "i0"}}));
 }
 
 TEST(Mna, InvalidElementsRejected) {

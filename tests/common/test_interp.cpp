@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace dh::math {
@@ -23,10 +25,10 @@ TEST(Interp, RejectsMismatchedTables) {
                Error);
 }
 
-TEST(Trapezoid, IntegratesLinearExactly) {
-  const std::vector<double> xs{0.0, 1.0, 2.0, 4.0};
-  const std::vector<double> ys{0.0, 1.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(trapezoid(xs, ys), 8.0);
+TEST(Interp, RejectsNaN) {
+  const std::vector<double> xs{0.0, 1.0, 3.0};
+  const std::vector<double> ys{0.0, 2.0, 6.0};
+  EXPECT_THROW((void)interp_linear(xs, ys, std::nan("")), Error);
 }
 
 TEST(Linspace, EndpointsAndSpacing) {

@@ -121,7 +121,7 @@ TEST(Cg, ZeroRhsReturnsZeroInZeroIterations) {
   std::vector<double> x;
   const CgResult res =
       pcg_solve(op, std::vector<double>(a.rows(), 0.0),
-                IdentityPreconditioner{}, x, {});
+                IdentityPreconditioner{}, x, 1e-13);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0u);
   for (const double v : x) EXPECT_EQ(v, 0.0);
@@ -137,7 +137,7 @@ TEST(Cg, IndefiniteOperatorRaisesCurvatureError) {
   std::vector<double> x;
   try {
     (void)pcg_solve(op, std::vector<double>{1.0, 1.0},
-                    IdentityPreconditioner{}, x, {});
+                    IdentityPreconditioner{}, x, 1e-13);
     FAIL() << "expected dh::Error for indefinite operator";
   } catch (const Error& e) {
     EXPECT_NE(std::string{e.what()}.find("positive definite"),
