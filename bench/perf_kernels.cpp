@@ -96,7 +96,7 @@ BENCHMARK(BM_PdnIrSolve)->Arg(4)->Arg(8)->Arg(12);
 
 // Dense-vs-sparse solve kernels at n in {64, 256, 1024, 4096} nodes
 // (grid sides 8..64). Dense is the from-scratch LU reference
-// (solve_uncached); sparse is a fresh engine solve — CSR assembly +
+// (solve_uncached); sparse is a fresh engine solve — band stamping +
 // factorization + solve — so the comparison is end-to-end, not
 // back-substitution vs LU. The 64x64 dense case takes tens of seconds
 // per iteration; filter with --benchmark_filter if that matters.

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/math/linalg.hpp"
+#include "common/math/sparse/spd_solver.hpp"
 
 namespace dh::math::sparse {
 
@@ -25,7 +26,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
 }  // namespace
 
 CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
-                   const Preconditioner& m, std::vector<double>& x,
+                   const SpdSolver& m, std::vector<double>& x,
                    double rel_tolerance) {
   const std::size_t n = b.size();
   x.resize(n, 0.0);
@@ -46,7 +47,7 @@ CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
   std::size_t last_gain_iter = 0;
 
   if (r_norm > target) {
-    m.apply(r, z);
+    m.substitute(r, z);
     double rz = dot(r, z);
     if (rz < 0.0) {
       throw Error{"PCG: preconditioner produced r'M^-1r = " +
@@ -77,7 +78,7 @@ CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
       if (it - last_gain_iter >= kStagnationWindow) {
         break;  // rounding floor: return the best iterate found
       }
-      m.apply(r, z);
+      m.substitute(r, z);
       const double rz_new = dot(r, z);
       if (rz_new < 0.0) {
         throw Error{"PCG: preconditioner produced r'M^-1r = " +

@@ -13,26 +13,11 @@
 
 namespace dh::math::sparse {
 
-/// y = A x. `y` is sized by the callee (CsrMatrix::multiply matches).
+/// y = A x. `y` is sized by the callee.
 using LinearOp =
     std::function<void(std::span<const double>, std::vector<double>&)>;
 
-/// z = M^-1 r for an SPD approximation M of the system matrix.
-class Preconditioner {
- public:
-  virtual ~Preconditioner() = default;
-  virtual void apply(std::span<const double> r,
-                     std::vector<double>& z) const = 0;
-};
-
-/// M = I (plain CG).
-class IdentityPreconditioner final : public Preconditioner {
- public:
-  void apply(std::span<const double> r,
-             std::vector<double>& z) const override {
-    z.assign(r.begin(), r.end());
-  }
-};
+class SpdSolver;
 
 struct CgResult {
   std::size_t iterations = 0;
@@ -40,7 +25,8 @@ struct CgResult {
   bool converged = false;
 };
 
-/// Solves A x = b with preconditioner M, starting from the contents of
+/// Solves A x = b preconditioned by the factor M of an SPD band matrix
+/// (M^-1 r is its forward/back substitution), starting from the contents of
 /// `x` (resize/zero it for a cold start). Returns the best iterate found.
 /// Converged when ||r||_2 <= rel_tolerance * ||b||_2 (plus a tiny
 /// absolute floor so b = 0 returns x = 0 immediately). Gives up after
@@ -51,7 +37,7 @@ struct CgResult {
 /// r'M^-1r < 0 — the SPD contract is broken, e.g. an asymmetric or
 /// negative-conductance assembly).
 CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
-                   const Preconditioner& m, std::vector<double>& x,
+                   const SpdSolver& m, std::vector<double>& x,
                    double rel_tolerance);
 
 }  // namespace dh::math::sparse

@@ -1,7 +1,9 @@
 #include "common/math/sparse/spd_solver.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
-#include <utility>
 
 #include "common/error.hpp"
 #include "common/math/linalg.hpp"
@@ -25,44 +27,128 @@ constexpr double kDriftRelTolerance = 1e-13;
 /// solvable systems (aged grids whose broken segments spread the
 /// conductances across ~12 decades) bottom out around 1e-7 relative —
 /// the double-precision floor any engine shares, dense LU included —
-/// and are accepted with the achieved residual reported in
-/// SpdSolveInfo::relative_residual. A genuinely singular matrix (pivots
-/// made of rounding noise) stalls at O(1) and throws.
+/// and are accepted. A genuinely singular matrix (pivots made of rounding
+/// noise) stalls at O(1) and throws.
 constexpr double kRejectRelResidual = 1e-4;
-
-CsrMatrix require_symmetric(CsrMatrix a) {
-  DH_REQUIRE(a.rows() == a.cols(), "SPD solver requires a square matrix");
-  if (!a.is_symmetric()) {
-    throw Error{"SPD solver requires a symmetric matrix; assembly produced "
-                "an asymmetric one (" +
-                std::to_string(a.rows()) + "x" + std::to_string(a.cols()) +
-                ", " + std::to_string(a.nnz()) + " nonzeros)"};
-  }
-  return a;
-}
 
 }  // namespace
 
-SpdSolver::SpdSolver(CsrMatrix a)
-    : a_(require_symmetric(std::move(a))), factor_(a_) {}
+SpdSolver::SpdSolver(std::size_t n, std::size_t band)
+    : n_(n), band_(band), a_(n * (band + 1), 0.0), l_(a_.size(), 0.0) {}
+
+void SpdSolver::clear() { std::fill(a_.begin(), a_.end(), 0.0); }
+
+void SpdSolver::add_edge(std::size_t a, std::size_t b, double g) {
+  DH_REQUIRE(a != b, "edge endpoints must differ");
+  DH_REQUIRE(a < n_ && b < n_, "edge endpoint out of range");
+  const std::size_t hi = std::max(a, b);
+  const std::size_t lo = std::min(a, b);
+  DH_REQUIRE(hi - lo <= band_, "edge lies outside the matrix band");
+  a_[at(a, a)] += g;
+  a_[at(b, b)] += g;
+  a_[at(hi, lo)] -= g;
+}
+
+void SpdSolver::add_diagonal(std::size_t i, double g) {
+  DH_REQUIRE(i < n_, "diagonal index out of range");
+  a_[at(i, i)] += g;
+}
+
+void SpdSolver::factorize() {
+  // Smallest pivot accepted, relative to the largest diagonal entry so
+  // that an exactly-singular system (e.g. an ungrounded Laplacian, whose
+  // final pivot is pure rounding noise) is rejected instead of producing
+  // a garbage factor, while merely ill-conditioned but solvable systems
+  // pass.
+  double max_diag = 0.0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    max_diag = std::max(max_diag, std::abs(a_[at(i, i)]));
+  }
+  const double floor =
+      std::max(static_cast<double>(n_) *
+                   std::numeric_limits<double>::epsilon() * max_diag,
+               1e-300);
+  std::copy(a_.begin(), a_.end(), l_.begin());
+  const auto l = [this](std::size_t i, std::size_t j) -> double& {
+    return l_[at(i, j)];
+  };
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t j0 = i > band_ ? i - band_ : 0;
+    for (std::size_t j = j0; j < i; ++j) {
+      double acc = l(i, j);
+      const std::size_t k0 = std::max(j0, j > band_ ? j - band_ : 0);
+      for (std::size_t k = k0; k < j; ++k) acc -= l(i, k) * l(j, k);
+      l(i, j) = acc / l(j, j);
+    }
+    double acc = l(i, i);
+    for (std::size_t k = j0; k < i; ++k) acc -= l(i, k) * l(i, k);
+    if (!(acc > floor) || !std::isfinite(acc)) {
+      throw Error{"banded Cholesky: pivot " + std::to_string(acc) +
+                  " at row " + std::to_string(i) + " of " +
+                  std::to_string(n_) +
+                  " is not positive — matrix is singular or not positive "
+                  "definite"};
+    }
+    l(i, i) = std::sqrt(acc);
+  }
+}
+
+void SpdSolver::substitute(std::span<const double> b,
+                           std::vector<double>& x) const {
+  DH_REQUIRE(b.size() == n_, "banded solve dimension mismatch");
+  x.assign(b.begin(), b.end());
+  // L y = b.
+  for (std::size_t i = 0; i < n_; ++i) {
+    double acc = x[i];
+    const std::size_t j0 = i > band_ ? i - band_ : 0;
+    for (std::size_t j = j0; j < i; ++j) acc -= l_[at(i, j)] * x[j];
+    x[i] = acc / l_[at(i, i)];
+  }
+  // L^T x = y, scattered row-wise (row access only).
+  for (std::size_t i = n_; i-- > 0;) {
+    const double xi = x[i] / l_[at(i, i)];
+    x[i] = xi;
+    const std::size_t j0 = i > band_ ? i - band_ : 0;
+    for (std::size_t j = j0; j < i; ++j) x[j] -= l_[at(i, j)] * xi;
+  }
+}
+
+void SpdSolver::multiply(std::span<const double> x,
+                         std::vector<double>& y) const {
+  y.resize(n_);
+  for (std::size_t r = 0; r < n_; ++r) {
+    double acc = 0.0;
+    // Columns left of and on the diagonal come from row r, those right
+    // of it from the mirrored lower entries of the rows below.
+    for (std::size_t c = r > band_ ? r - band_ : 0; c <= r; ++c) {
+      const double v = a_[at(r, c)];
+      if (v != 0.0) acc += v * x[c];
+    }
+    const std::size_t c_end = std::min(n_, r + band_ + 1);
+    for (std::size_t c = r + 1; c < c_end; ++c) {
+      const double v = a_[at(c, r)];
+      if (v != 0.0) acc += v * x[c];
+    }
+    y[r] = acc;
+  }
+}
 
 std::vector<double> SpdSolver::solve(std::span<const double> b,
                                      SpdSolveInfo* info) const {
-  DH_REQUIRE(b.size() == a_.rows(), "SPD solve dimension mismatch");
+  DH_REQUIRE(b.size() == n_, "SPD solve dimension mismatch");
   SpdSolveInfo local;
   const double b_norm = norm2(b);
   const auto relative = [b_norm](double r) {
     return b_norm > 0.0 ? r / b_norm : 0.0;
   };
   std::vector<double> x;
-  factor_.solve(b, x);
-  // Price the true residual (one O(nnz) product, cheap next to the
+  substitute(b, x);
+  // Price the true residual (one O(n b) product, cheap next to the
   // back-substitution it follows).
-  std::vector<double> ax(x.size());
-  a_.multiply(x, ax);
-  for (std::size_t i = 0; i < ax.size(); ++i) ax[i] = b[i] - ax[i];
-  local.residual_norm = norm2(ax);
-  if (relative(local.residual_norm) > kAcceptRelResidual) {
+  std::vector<double> residual;
+  multiply(x, residual);
+  for (std::size_t i = 0; i < n_; ++i) residual[i] = b[i] - residual[i];
+  if (relative(norm2(residual)) > kAcceptRelResidual) {
     // Ill-conditioned but solvable systems leave a rounding-sized gap a
     // direct factor cannot close in one sweep; iterative refinement (CG
     // on A preconditioned by the factor, warm-started from x) drives it
@@ -71,11 +157,10 @@ std::vector<double> SpdSolver::solve(std::span<const double> b,
     // residual stays orders of magnitude above the floor.
     const CgResult res = pcg_solve(
         [this](std::span<const double> v, std::vector<double>& y) {
-          a_.multiply(v, y);
+          multiply(v, y);
         },
-        b, factor_, x, kAcceptRelResidual);
+        b, *this, x, kAcceptRelResidual);
     local.cg_iterations = res.iterations;
-    local.residual_norm = res.residual_norm;
     if (!res.converged &&
         relative(res.residual_norm) > kRejectRelResidual) {
       throw Error{"banded Cholesky solve stalled at relative residual " +
@@ -84,7 +169,6 @@ std::vector<double> SpdSolver::solve(std::span<const double> b,
                   "pivot within rounding) or numerically unsolvable"};
     }
   }
-  local.relative_residual = relative(local.residual_norm);
   if (info != nullptr) *info = local;
   return x;
 }
@@ -93,20 +177,16 @@ bool SpdSolver::solve_drifted(const LinearOp& true_op,
                               std::span<const double> b,
                               std::vector<double>& x,
                               SpdSolveInfo* info) const {
-  DH_REQUIRE(b.size() == a_.rows(), "SPD solve dimension mismatch");
-  SpdSolveInfo local;
+  DH_REQUIRE(b.size() == n_, "SPD solve dimension mismatch");
   x.clear();
-  const CgResult res = pcg_solve(true_op, b, factor_, x, kDriftRelTolerance);
-  local.cg_iterations = res.iterations;
-  local.residual_norm = res.residual_norm;
+  const CgResult res = pcg_solve(true_op, b, *this, x, kDriftRelTolerance);
+  if (info != nullptr) info->cg_iterations = res.iterations;
   const double b_norm = norm2(b);
-  local.relative_residual =
-      b_norm > 0.0 ? local.residual_norm / b_norm : 0.0;
-  if (info != nullptr) *info = local;
+  const double relative = b_norm > 0.0 ? res.residual_norm / b_norm : 0.0;
   // Same acceptance bound as solve(): a stale-factor refinement that
   // stagnates at its rounding floor but within the contract is a hit,
   // not a reason to refactorize every step.
-  return res.converged || local.relative_residual <= kAcceptRelResidual;
+  return res.converged || relative <= kAcceptRelResidual;
 }
 
 }  // namespace dh::math::sparse

@@ -1,15 +1,15 @@
-// Facade over the sparse engine: one banded-Cholesky factorization of an
-// SPD system, one solve() with factor-preconditioned CG refinement when
-// back-substitution misses the residual contract, plus the stale-factor
-// drift-refinement solve the PDN cache contract needs.
+// The sparse engine's one solver: an SPD band matrix that the grids stamp
+// their conductances into in place, its banded Cholesky factor, one
+// solve() with factor-preconditioned CG refinement when back-substitution
+// misses the residual contract, plus the stale-factor drift-refinement
+// solve the PDN cache contract needs.
 //
 // Every system in the healing stack is a small 5-point mesh (the 4x4
 // thermal grid, the 4x4/8x8 PDN meshes) whose bandwidth is its column
 // count, so a direct banded factor is both the fastest and the simplest
-// engine (see DESIGN.md "Solver engine").
-// Asymmetric input throws dh::Error up front (the SPD contract is
-// structural); a singular or indefinite matrix throws from the
-// factorization with a descriptive pivot message.
+// engine (see DESIGN.md "Solver engine"). Only the lower band is stored,
+// so the matrix is symmetric by construction; a singular or indefinite
+// matrix throws from factorize() with a descriptive pivot message.
 #pragma once
 
 #include <cstddef>
@@ -17,30 +17,42 @@
 #include <vector>
 
 #include "common/math/sparse/cg.hpp"
-#include "common/math/sparse/csr.hpp"
-#include "common/math/sparse/direct.hpp"
 
 namespace dh::math::sparse {
 
-/// Per-solve observability: how hard CG refinement worked, and the true
-/// residual of the returned solution.
+/// Per-solve observability: how hard CG refinement worked.
 struct SpdSolveInfo {
   std::size_t cg_iterations = 0;
-  double residual_norm = 0.0;   // ||b - A x||_2
-  double relative_residual = 0.0;  // residual_norm / ||b||_2 (0 for b=0)
 };
 
 class SpdSolver {
  public:
-  /// Factorizes `a`. Throws dh::Error when it is not square, not
-  /// symmetric, or not numerically positive definite.
-  explicit SpdSolver(CsrMatrix a);
+  /// An n x n zero matrix whose entries (i, j) satisfy |i - j| <= band.
+  /// All storage is sized here; stamping and factorizing reuse it.
+  SpdSolver(std::size_t n, std::size_t band);
+
+  /// Zeroes the matrix (the factor is stale until factorize()).
+  void clear();
+  /// Two-terminal conductance between nodes a and b: +g on both
+  /// diagonals, -g on the off-diagonal. Requires |a - b| <= band.
+  void add_edge(std::size_t a, std::size_t b, double g);
+  /// Diagonal grounding term (pad conductance, vertical conductance).
+  void add_diagonal(std::size_t i, double g);
+
+  /// Banded Cholesky of the stamped matrix, in place. Throws dh::Error on
+  /// a pivot at or below n * eps * max-diagonal (singular or not
+  /// positive definite, e.g. a conductance Laplacian with no pad path to
+  /// VDD); the factor is then unusable until the next factorize().
+  void factorize();
+
+  /// x = (L L^T)^-1 b by forward and back substitution with the factor.
+  void substitute(std::span<const double> b, std::vector<double>& x) const;
 
   /// Solves A x = b by back-substitution, refined by CG preconditioned
   /// with the factor when the true relative residual exceeds 1e-10; the
-  /// iteration count and residual land in `info`. Throws dh::Error if
-  /// refinement stalls above 1e-4 — on an SPD system that means
-  /// singular/ill-posed input.
+  /// iteration count lands in `info`. Throws dh::Error if refinement
+  /// stalls above 1e-4 — on an SPD system that means singular/ill-posed
+  /// input.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b,
                                           SpdSolveInfo* info = nullptr) const;
 
@@ -54,12 +66,19 @@ class SpdSolver {
                                    std::vector<double>& x,
                                    SpdSolveInfo* info = nullptr) const;
 
-  [[nodiscard]] const CsrMatrix& matrix() const { return a_; }
-  [[nodiscard]] std::size_t dim() const { return a_.rows(); }
-
  private:
-  CsrMatrix a_;
-  BandedCholesky factor_;
+  /// Lower-band slot of entry (i, j), j <= i <= j + band.
+  [[nodiscard]] std::size_t at(std::size_t i, std::size_t j) const {
+    return i * (band_ + 1) + (i - j);
+  }
+  /// y = A x over the stored band, each row summed in ascending column
+  /// order with zero entries skipped.
+  void multiply(std::span<const double> x, std::vector<double>& y) const;
+
+  std::size_t n_;
+  std::size_t band_;
+  std::vector<double> a_;  // lower band of A, (band_+1) per row
+  std::vector<double> l_;  // lower band of its Cholesky factor, same layout
 };
 
 }  // namespace dh::math::sparse

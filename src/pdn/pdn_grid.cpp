@@ -16,14 +16,20 @@ namespace {
 /// on the tolerance — only the CG iteration count does.
 constexpr double kRefactorTolerance = 0.05;
 
+PdnParams validated(PdnParams p) {
+  DH_REQUIRE(p.rows >= 2 && p.cols >= 2, "PDN grid needs at least 2x2 nodes");
+  DH_REQUIRE(p.vdd.value() > 0.0, "PDN VDD must be positive");
+  DH_REQUIRE(p.pad_resistance.value() > 0.0,
+             "pad resistance must be positive");
+  return p;
+}
+
 }  // namespace
 
-PdnGrid::PdnGrid(PdnParams params) : params_(std::move(params)) {
-  DH_REQUIRE(params_.rows >= 2 && params_.cols >= 2,
-             "PDN grid needs at least 2x2 nodes");
-  DH_REQUIRE(params_.vdd.value() > 0.0, "PDN VDD must be positive");
-  DH_REQUIRE(params_.pad_resistance.value() > 0.0,
-             "pad resistance must be positive");
+// A row-major mesh couples node i to i + cols at most: bandwidth cols.
+PdnGrid::PdnGrid(PdnParams params)
+    : params_(validated(std::move(params))),
+      solver_(node_count(), params_.cols) {
   for (std::size_t r = 0; r < params_.rows; ++r) {
     for (std::size_t c = 0; c < params_.cols; ++c) {
       const std::size_t i = r * params_.cols + c;
@@ -45,6 +51,7 @@ PdnGrid::PdnGrid(PdnParams params) : params_(std::move(params)) {
   // and is exactly singular — fail here with a clear message instead of
   // letting the factorization hit a zero pivot mid-simulation.
   DH_REQUIRE(!pads_.empty(), "PDN needs at least one pad node");
+  solver_segment_r_.resize(segments_.size());
 }
 
 std::size_t PdnGrid::node_index(std::size_t row, std::size_t col) const {
@@ -94,17 +101,20 @@ std::vector<double> PdnGrid::assemble_rhs(
   return rhs;
 }
 
-math::sparse::CsrMatrix PdnGrid::assemble_conductance_csr(
+void PdnGrid::check_inputs(
+    std::span<const double> load_amps,
     std::span<const double> segment_resistance) const {
-  // 5-point stencil: diagonal + up to 4 mesh neighbours per node.
-  math::sparse::CsrBuilder builder(node_count(), node_count(), 5);
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    builder.add_edge(segments_[s].a, segments_[s].b,
-                     1.0 / segment_resistance[s]);
+  DH_REQUIRE(load_amps.size() == node_count(), "load vector size mismatch");
+  DH_REQUIRE(segment_resistance.size() == segments_.size(),
+             "segment resistance vector size mismatch");
+  // A NaN or infinite load spreads through the substitution to every
+  // node, and NaN drops never compare above the worst one.
+  for (const double amps : load_amps) {
+    DH_REQUIRE(std::isfinite(amps), "node load must be finite");
   }
-  const double g_pad = 1.0 / params_.pad_resistance.value();
-  for (const std::size_t p : pads_) builder.add_diagonal(p, g_pad);
-  return builder.build();
+  for (const double r : segment_resistance) {
+    DH_REQUIRE(r > 0.0, "segment resistance must be positive");
+  }
 }
 
 void PdnGrid::apply_conductance(std::span<const double> segment_resistance,
@@ -145,27 +155,28 @@ PdnSolution PdnGrid::finish_solution(
 
 void PdnGrid::refactorize(
     std::span<const double> segment_resistance) const {
-  solver_ = std::make_unique<math::sparse::SpdSolver>(
-      assemble_conductance_csr(segment_resistance));
-  solver_segment_r_.assign(segment_resistance.begin(),
-                           segment_resistance.end());
+  factored_ = false;
+  solver_.clear();
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    solver_.add_edge(segments_[s].a, segments_[s].b,
+                     1.0 / segment_resistance[s]);
+  }
+  const double g_pad = 1.0 / params_.pad_resistance.value();
+  for (const std::size_t p : pads_) solver_.add_diagonal(p, g_pad);
+  solver_.factorize();
+  factored_ = true;
+  std::copy(segment_resistance.begin(), segment_resistance.end(),
+            solver_segment_r_.begin());
   ++solve_stats_.factorizations;
 }
 
 PdnSolution PdnGrid::solve(std::span<const double> load_amps,
                            std::span<const double> segment_resistance) const {
-  const std::size_t n = node_count();
-  DH_REQUIRE(load_amps.size() == n, "load vector size mismatch");
-  DH_REQUIRE(segment_resistance.size() == segments_.size(),
-             "segment resistance vector size mismatch");
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    DH_REQUIRE(segment_resistance[s] > 0.0,
-               "segment resistance must be positive");
-  }
+  check_inputs(load_amps, segment_resistance);
   ++solve_stats_.solves;
 
-  bool exact = solver_ != nullptr;
-  bool refactor = solver_ == nullptr;
+  bool exact = factored_;
+  bool refactor = !factored_;
   if (!refactor) {
     for (std::size_t s = 0; s < segments_.size(); ++s) {
       const double drift =
@@ -186,14 +197,14 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
   std::vector<double> v;
   math::sparse::SpdSolveInfo info;
   if (exact) {
-    v = solver_->solve(rhs, &info);
+    v = solver_.solve(rhs, &info);
   } else {
     // The factor describes slightly stale conductances; run CG against
     // the *true* operator (matrix-free) preconditioned by the stale
     // factor. Drift <= tolerance keeps the preconditioned system within
     // a few percent of the identity, so a handful of iterations recover
     // full accuracy — the sparse analogue of stale-LU refinement.
-    const bool converged = solver_->solve_drifted(
+    const bool converged = solver_.solve_drifted(
         [&](std::span<const double> x, std::vector<double>& y) {
           apply_conductance(segment_resistance, x, y);
         },
@@ -205,7 +216,7 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
       ++solve_stats_.fallback_refactorizations;
       refactorize(segment_resistance);
       solve_stats_.cg_iterations += info.cg_iterations;
-      v = solver_->solve(rhs, &info);
+      v = solver_.solve(rhs, &info);
     }
   }
   solve_stats_.cg_iterations += info.cg_iterations;
@@ -215,14 +226,7 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
 PdnSolution PdnGrid::solve_uncached(
     std::span<const double> load_amps,
     std::span<const double> segment_resistance) const {
-  const std::size_t n = node_count();
-  DH_REQUIRE(load_amps.size() == n, "load vector size mismatch");
-  DH_REQUIRE(segment_resistance.size() == segments_.size(),
-             "segment resistance vector size mismatch");
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    DH_REQUIRE(segment_resistance[s] > 0.0,
-               "segment resistance must be positive");
-  }
+  check_inputs(load_amps, segment_resistance);
   const math::Matrix g = assemble_conductance(segment_resistance);
   return finish_solution(math::solve_dense(g, assemble_rhs(load_amps)),
                          segment_resistance);
@@ -234,8 +238,8 @@ AmpsPerM2 PdnGrid::current_density(double current_a) const {
 
 void PdnGrid::save_cache(ckpt::Serializer& s) const {
   s.begin_section("PDNC");
-  s.write_bool(solver_ != nullptr);
-  if (solver_ != nullptr) {
+  s.write_bool(factored_);
+  if (factored_) {
     s.write_f64_vec(solver_segment_r_);
   }
   s.write_u64(solve_stats_.solves);
@@ -254,8 +258,7 @@ void PdnGrid::load_cache(ckpt::Deserializer& d) {
                "grid's segment count");
     refactorize(r);
   } else {
-    solver_.reset();
-    solver_segment_r_.clear();
+    factored_ = false;
   }
   solve_stats_.solves = static_cast<std::size_t>(d.read_u64());
   solve_stats_.factorizations = static_cast<std::size_t>(d.read_u64());

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -85,16 +84,18 @@ class PdnGrid {
   [[nodiscard]] std::vector<double> fresh_segment_resistances(
       Celsius t) const;
 
-  /// Solve the mesh: `load_amps` is the current drawn at each node;
-  /// `segment_resistance` allows aged overrides (same order as segments).
+  /// Solve the mesh: `load_amps` is the current drawn at each node (each
+  /// finite); `segment_resistance` allows aged overrides (same order as
+  /// segments, each positive).
   ///
-  /// Runs on the sparse engine (common/math/sparse): the CSR conductance
-  /// matrix gets a banded Cholesky factor, cached until any segment
-  /// resistance drifts more than 5% (relative) from the resistances it
-  /// was built from. In between, the stale factor preconditions a CG
-  /// solve against the true conductances (applied matrix-free), so the
-  /// answer matches a fresh dense solve to ~1e-12 while costing only a
-  /// few iterations.
+  /// Runs on the sparse engine (common/math/sparse): the conductances are
+  /// stamped in place into a band matrix sized at construction and
+  /// factored by banded Cholesky, and the factor is cached until any
+  /// segment resistance drifts more than 5% (relative) from the
+  /// resistances it was built from. In between, the stale factor
+  /// preconditions a CG solve against the true conductances (applied
+  /// matrix-free), so the answer matches a fresh dense solve to ~1e-12
+  /// while costing only a few iterations.
   ///
   /// The cache makes this method non-reentrant: a PdnGrid instance must
   /// not be solved from two threads at once (parallel sweeps give each
@@ -133,8 +134,10 @@ class PdnGrid {
  private:
   [[nodiscard]] math::Matrix assemble_conductance(
       std::span<const double> segment_resistance) const;
-  [[nodiscard]] math::sparse::CsrMatrix assemble_conductance_csr(
-      std::span<const double> segment_resistance) const;
+  /// Throws dh::Error unless both vectors match the grid, every load is
+  /// finite and every segment resistance positive.
+  void check_inputs(std::span<const double> load_amps,
+                    std::span<const double> segment_resistance) const;
   [[nodiscard]] std::vector<double> assemble_rhs(
       std::span<const double> load_amps) const;
   /// y = G(segment_resistance) * x without forming the matrix.
@@ -144,13 +147,16 @@ class PdnGrid {
   [[nodiscard]] PdnSolution finish_solution(
       std::vector<double> node_voltage,
       std::span<const double> segment_resistance) const;
+  /// Re-stamps the conductances into solver_ and factors them in place.
+  /// A factorization that throws leaves the grid unfactored.
   void refactorize(std::span<const double> segment_resistance) const;
 
   PdnParams params_;
   std::vector<Segment> segments_;
   std::vector<std::size_t> pads_;
   // Cached-solver state (logically const: an acceleration structure).
-  mutable std::unique_ptr<math::sparse::SpdSolver> solver_;
+  mutable math::sparse::SpdSolver solver_;
+  mutable bool factored_ = false;
   mutable std::vector<double> solver_segment_r_;  // r when factorized
   mutable PdnSolveStats solve_stats_;
 };

@@ -1,6 +1,7 @@
 #include "thermal/thermal_grid.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/ckpt/serialize.hpp"
@@ -22,21 +23,23 @@ ThermalGridParams validated(ThermalGridParams p) {
   return p;
 }
 
-math::sparse::CsrMatrix conductance(const ThermalGridParams& p) {
-  const std::size_t n = p.rows * p.cols;
+math::sparse::SpdSolver conductance(const ThermalGridParams& p) {
   // 5-point stencil: vertical escape on the diagonal, lateral coupling
-  // k * (w * t) / w = k * t to each mesh neighbour.
-  math::sparse::CsrBuilder builder(n, n, 5);
+  // k * (w * t) / w = k * t to each mesh neighbour. Row-major numbering
+  // puts the farthest neighbour a row (cols) away, or next door when
+  // there is only one row.
+  math::sparse::SpdSolver g(p.rows * p.cols, p.rows > 1 ? p.cols : 1);
   const double g_lat = p.k_silicon_w_per_mk * p.die_thickness.value();
   for (std::size_t r = 0; r < p.rows; ++r) {
     for (std::size_t c = 0; c < p.cols; ++c) {
       const std::size_t i = r * p.cols + c;
-      builder.add_diagonal(i, p.vertical_g_w_per_k);
-      if (r + 1 < p.rows) builder.add_edge(i, i + p.cols, g_lat);
-      if (c + 1 < p.cols) builder.add_edge(i, i + 1, g_lat);
+      g.add_diagonal(i, p.vertical_g_w_per_k);
+      if (r + 1 < p.rows) g.add_edge(i, i + p.cols, g_lat);
+      if (c + 1 < p.cols) g.add_edge(i, i + 1, g_lat);
     }
   }
-  return builder.build();
+  g.factorize();
+  return g;
 }
 
 }  // namespace
@@ -57,7 +60,8 @@ std::size_t ThermalGrid::index(std::size_t row, std::size_t col) const {
 
 void ThermalGrid::set_power(std::size_t tile, Watts p) {
   DH_REQUIRE(tile < tile_count(), "tile index out of range");
-  DH_REQUIRE(p.value() >= 0.0, "power must be non-negative");
+  DH_REQUIRE(std::isfinite(p.value()) && p.value() >= 0.0,
+             "power must be finite and non-negative");
   power_[tile] = p.value();
 }
 
@@ -66,7 +70,8 @@ void ThermalGrid::set_power_map(std::span<const double> watts) {
   // Check the whole map before applying any of it, so a rejected map
   // leaves the previous one intact.
   for (const double w : watts) {
-    DH_REQUIRE(w >= 0.0, "power must be non-negative");
+    DH_REQUIRE(std::isfinite(w) && w >= 0.0,
+               "power must be finite and non-negative");
   }
   std::copy(watts.begin(), watts.end(), power_.begin());
 }

@@ -48,6 +48,8 @@ class ThermalGrid {
   }
   [[nodiscard]] std::size_t index(std::size_t row, std::size_t col) const;
 
+  /// Power must be finite and non-negative; a rejected map changes
+  /// nothing.
   void set_power(std::size_t tile, Watts p);
   void set_power_map(std::span<const double> watts);
 

@@ -217,6 +217,38 @@ TEST(PdnSolveCache, CountsStalledDriftSolveThatRefactorizes) {
   EXPECT_EQ(restored.solve_stats().factorizations, 2u);
 }
 
+TEST(PdnSolveCache, FailedRefactorizationLeavesGridUsable) {
+  // Ringing one non-pad node with 1e300-ohm segments leaves its pivot
+  // (4e-300 S) below the n * eps * max-diagonal floor, so the
+  // refactorization that drift forces throws. The factor was being
+  // rebuilt in place when it threw, so the grid must refactorize on its
+  // next solve rather than reuse it.
+  pdn::PdnParams p;
+  p.rows = p.cols = 4;
+  const pdn::PdnGrid grid{p};
+  const std::vector<double> loads(grid.node_count(), 0.01);
+  const auto fresh_r = grid.fresh_segment_resistances(Celsius{85.0});
+  (void)grid.solve(loads, fresh_r);
+  ASSERT_EQ(grid.solve_stats().factorizations, 1u);
+
+  const std::size_t ringed = grid.node_index(1, 1);
+  auto ring_r = fresh_r;
+  for (std::size_t s = 0; s < ring_r.size(); ++s) {
+    if (grid.segment(s).a == ringed || grid.segment(s).b == ringed) {
+      ring_r[s] = 1e300;
+    }
+  }
+  EXPECT_THROW((void)grid.solve(loads, ring_r), Error);
+  EXPECT_EQ(grid.solve_stats().factorizations, 1u);
+
+  const auto cached = grid.solve(loads, fresh_r);
+  EXPECT_EQ(grid.solve_stats().factorizations, 2u);
+  const auto dense = grid.solve_uncached(loads, fresh_r);
+  for (std::size_t i = 0; i < cached.node_voltage.size(); ++i) {
+    EXPECT_NEAR(cached.node_voltage[i], dense.node_voltage[i], 1e-10);
+  }
+}
+
 TEST(PdnSolveCache, AgingPdnUsesFarFewerFactorizationsThanSteps) {
   pdn::PdnParams p;
   p.rows = p.cols = 4;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -115,6 +116,21 @@ TEST(Pdn, Validation) {
   EXPECT_THROW(g.solve(std::vector<double>{1.0},
                        g.fresh_segment_resistances(Celsius{85.0})),
                Error);
+}
+
+TEST(Pdn, RejectsNonFiniteLoads) {
+  // A NaN load would spread through the substitution and report zero IR
+  // drop (NaN never compares above the worst drop); +inf would report
+  // inf from the cached solver but 0 from the dense reference.
+  const PdnGrid g = make_grid();
+  const auto r = g.fresh_segment_resistances(Celsius{85.0});
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    std::vector<double> load(g.node_count(), 0.01);
+    load[5] = bad;
+    EXPECT_THROW((void)g.solve(load, r), Error) << bad;
+    EXPECT_THROW((void)g.solve_uncached(load, r), Error) << bad;
+  }
+  EXPECT_EQ(g.solve_stats().solves, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
@@ -74,6 +75,14 @@ TEST(Thermal, PowerMapValidation) {
   EXPECT_THROW(g.set_power(999, Watts{1.0}), Error);
   EXPECT_THROW(g.set_power(0, Watts{-1.0}), Error);
   EXPECT_THROW(g.set_power_map(std::vector<double>{1.0}), Error);
+  // +inf power would turn max/mean temperature into NaN.
+  EXPECT_THROW(g.set_power(0, Watts{HUGE_VAL}), Error);
+  EXPECT_THROW(g.set_power(0, Watts{std::nan("")}), Error);
+  std::vector<double> map(g.tile_count(), 1.0);
+  map[3] = HUGE_VAL;
+  EXPECT_THROW(g.set_power_map(map), Error);
+  g.solve_steady();
+  EXPECT_EQ(g.max_temperature().value(), g.params().ambient.value());
 }
 
 TEST(Thermal, RejectedPowerMapLeavesPreviousMapApplied) {
