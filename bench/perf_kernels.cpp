@@ -14,6 +14,7 @@
 #include "em/em_sensor.hpp"
 #include "em/korhonen.hpp"
 #include "pdn/pdn_grid.hpp"
+#include "sched/core_model.hpp"
 #include "sched/system_sim.hpp"
 #include "thermal/thermal_grid.hpp"
 
@@ -40,6 +41,58 @@ void BM_CompactBtiStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompactBtiStep);
+
+// One quantum of Fig. 12's chip (bench/fig12_system_schedule.cpp): 6 h,
+// every fourth core in BTI active recovery as under its periodic policy,
+// the others running load between 0.45 and 0.95, each at its own tile
+// temperature. BM_CoreStepEach steps the cores one after another
+// (Core::step, as perfbench's traced replay does); BM_CoreStepAll steps
+// them in lockstep (Core::step_all, as SystemSimulator::step does).
+struct Fig12Quantum {
+  explicit Fig12Quantum(std::size_t n)
+      : cores(n, sched::Core{chip_core()}), actions(n), util(n), temps(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = static_cast<double>(i) / static_cast<double>(n);
+      const bool recovering = i % 4 == 3;
+      actions[i] = recovering ? sched::CoreAction::kBtiActiveRecovery
+                              : sched::CoreAction::kRun;
+      util[i] = recovering ? 0.0 : 0.45 + 0.5 * x;
+      temps[i] = Celsius{75.0 + 20.0 * x};
+    }
+  }
+  static sched::CoreParams chip_core() {
+    sched::CoreParams p;
+    p.dynamic_power_peak = Watts{2.2};
+    return p;
+  }
+  std::vector<sched::Core> cores;
+  std::vector<sched::CoreAction> actions;
+  std::vector<double> util;
+  std::vector<Celsius> temps;
+  Seconds dt = hours(6.0);
+};
+
+void BM_CoreStepEach(benchmark::State& state) {
+  Fig12Quantum q{static_cast<std::size_t>(state.range(0))};
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < q.cores.size(); ++i) {
+      q.cores[i].step(q.actions[i], q.util[i], q.temps[i], q.dt);
+    }
+    benchmark::DoNotOptimize(q.cores.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CoreStepEach)->Arg(16);
+
+void BM_CoreStepAll(benchmark::State& state) {
+  Fig12Quantum q{static_cast<std::size_t>(state.range(0))};
+  for (auto _ : state) {
+    sched::Core::step_all(q.cores, q.actions, q.util, q.temps, q.dt);
+    benchmark::DoNotOptimize(q.cores.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CoreStepAll)->Arg(16);
 
 void BM_KorhonenStep(benchmark::State& state) {
   em::KorhonenSolver solver{em::paper_wire(),

@@ -1,7 +1,10 @@
 #include "device/compact_bti.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
+#include <limits>
 
 #include "common/arrhenius.hpp"
 #include "common/ckpt/serialize.hpp"
@@ -11,11 +14,159 @@ namespace dh::device {
 
 namespace {
 
+/// Forward-Euler substep length of the permanent precursor dynamics.
+constexpr double kSubstepS = 300.0;
+
+/// The longest step whose substep count, ceil(dt / kSubstepS), fits an
+/// int. Exactly representable, and dividing it by kSubstepS gives exactly
+/// INT_MAX, so every step up to it has a count that fits.
+constexpr double kMaxDtS =
+    kSubstepS * static_cast<double>(std::numeric_limits<int>::max());
+
+/// Stressed devices whose precursor chains apply_batch advances together.
+/// Enough independent chains to keep the divider busy; a batch with more
+/// runs in several rounds.
+constexpr std::size_t kLanes = 32;
+
 /// First-order relaxation of pool `x` toward `target` with time constant
 /// `tau` over `dt` (exact update).
 double relax(double x, double target, double tau, double dt) {
   if (tau <= 0.0) return target;
   return target + (x - target) * std::exp(-dt / tau);
+}
+
+/// The forward-Euler chain of one stressed interval: the generation rate
+/// `g`, the step `h` and the number of steps, plus the two params the
+/// step reads.
+struct PrecursorChain {
+  double g;
+  double h;
+  int substeps;
+  double p_max_v;
+  double k_lock_per_v_s;
+};
+
+/// The closed-form part of a stress interval: relaxes the recoverable
+/// pools and returns the permanent precursor's chain.
+inline PrecursorChain stress_prelude(const CompactBtiParams& p,
+                                     const BtiCondition& condition,
+                                     double dt, double& fast, double& slow) {
+  const Kelvin t = to_kelvin(condition.temperature);
+  const double v = condition.gate_bias.value();
+  const double af_t = arrhenius_acceleration(
+      p.kinetics_ea, t, to_kelvin(p.stress_ref.temperature));
+  const double af_v = std::exp((v - p.stress_ref.gate_bias.value()) / p.v0);
+  const double accel = af_t * af_v;
+  // Saturation level scales strongly with overdrive (the trap ensemble
+  // only fills up to a voltage-dependent energy cutoff; a cubic law
+  // tracks the calibrated model well across 0.6-1.2 V).
+  const double ratio = std::max(0.1, v / p.stress_ref.gate_bias.value());
+  const double sat_scale = ratio * ratio * ratio;
+  fast = relax(fast, p.fast_sat_v * sat_scale, p.fast_tau_stress_s / accel,
+               dt);
+  slow = relax(slow, p.slow_sat_v * sat_scale, p.slow_tau_stress_s / accel,
+               dt);
+  // Permanent precursor generation + second-order locking. Generation
+  // carries its own (stronger) voltage acceleration, mirroring the full
+  // model's gen_v0.
+  const double g =
+      p.gen_rate_ref_v_per_s *
+      arrhenius_acceleration(p.gen_ea, t,
+                             to_kelvin(p.stress_ref.temperature)) *
+      std::exp((v - p.stress_ref.gate_bias.value()) / p.gen_v0);
+  const int substeps =
+      std::max(1, static_cast<int>(std::ceil(dt / kSubstepS)));
+  return PrecursorChain{.g = g,
+                        .h = dt / substeps,
+                        .substeps = substeps,
+                        .p_max_v = p.p_max_v,
+                        .k_lock_per_v_s = p.k_lock_per_v_s};
+}
+
+/// One forward-Euler substep of the precursor chain. The one copy of this
+/// arithmetic: apply and apply_batch both run it, so their results agree
+/// bit for bit.
+inline void precursor_substep(const PrecursorChain& c, double& pu,
+                              double& pl) {
+  const double saturation = std::max(0.0, 1.0 - (pu + pl) / c.p_max_v);
+  const double lock_flux = c.k_lock_per_v_s * pu * pu;
+  pu += c.h * (c.g * saturation - lock_flux);
+  pl += c.h * lock_flux;
+  pu = std::max(pu, 0.0);
+}
+
+/// A recovery interval (zero or negative bias) in closed form.
+inline void recover(const CompactBtiParams& p, const BtiCondition& condition,
+                    double dt, double& fast, double& slow, double& pu,
+                    double& pl) {
+  const Kelvin t = to_kelvin(condition.temperature);
+  const double v = condition.gate_bias.value();
+  const double af_t = arrhenius_acceleration(
+      p.kinetics_ea, t, to_kelvin(p.recover_ref.temperature));
+  const double v_ref = -p.recover_ref.gate_bias.value();
+  const double af_v = std::exp((std::max(-v, 0.0) - v_ref) / p.v0);
+  const double accel = af_t * af_v;
+  fast = relax(fast, 0.0, p.fast_tau_recover_s / accel, dt);
+  slow = relax(slow, 0.0, p.slow_tau_recover_s / accel, dt);
+  const double anneal = p.anneal_rate_ref_per_s * accel;
+  pu *= std::exp(-dt * anneal);
+  pl *= std::exp(-dt * anneal * 1e-3);
+}
+
+/// A stressed device's precursor chain in apply_batch, with its state.
+struct Lane {
+  PrecursorChain chain;
+  double pu;
+  double pl;
+  double* pu_out;  // the device's state
+  double* pl_out;
+};
+
+/// Runs every lane's chain to its own step count, all live chains one
+/// substep at a time, and writes each chain's state back to its device.
+void advance_lockstep(std::span<Lane> lanes) {
+  int done = 0;
+  std::size_t live = lanes.size();
+  while (live > 0) {
+    int until = lanes[0].chain.substeps;
+    for (std::size_t k = 1; k < live; ++k) {
+      until = std::min(until, lanes[k].chain.substeps);
+    }
+    for (; done < until; ++done) {
+      for (std::size_t k = 0; k < live; ++k) {
+        precursor_substep(lanes[k].chain, lanes[k].pu, lanes[k].pl);
+      }
+    }
+    // Retire the chains that are done and close the gaps.
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < live; ++k) {
+      if (lanes[k].chain.substeps == until) {
+        *lanes[k].pu_out = lanes[k].pu;
+        *lanes[k].pl_out = lanes[k].pl;
+      } else {
+        lanes[kept++] = lanes[k];
+      }
+    }
+    live = kept;
+  }
+}
+
+/// True when no device appears in two jobs. Devices at ascending addresses
+/// (the cores of one array) settle it in one pass; any other order is
+/// compared pairwise.
+bool distinct_devices(std::span<const BtiJob> jobs) {
+  const std::less<const CompactBti*> before;
+  bool ascending = true;
+  for (std::size_t i = 1; i < jobs.size() && ascending; ++i) {
+    ascending = before(jobs[i - 1].device, jobs[i].device);
+  }
+  if (ascending) return true;
+  for (std::size_t a = 0; a < jobs.size(); ++a) {
+    for (std::size_t b = a + 1; b < jobs.size(); ++b) {
+      if (jobs[a].device == jobs[b].device) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -25,60 +176,57 @@ CompactBti::CompactBti(CompactBtiParams params) : params_(params) {
              "pool saturation levels must be positive");
 }
 
-void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
-  DH_REQUIRE(dt.value() >= 0.0, "time step must be non-negative");
-  if (dt.value() == 0.0) return;
-  const Kelvin t = to_kelvin(condition.temperature);
-  const double v = condition.gate_bias.value();
+void CompactBti::require_valid_dt(Seconds dt) {
+  // The bound also rejects NaN and infinity.
+  DH_REQUIRE(dt.value() >= 0.0 && dt.value() <= kMaxDtS,
+             "time step must be non-negative and at most 300 s x INT_MAX "
+             "(the substep count is an int)");
+}
 
-  if (condition.is_stress()) {
-    const double af_t = arrhenius_acceleration(
-        params_.kinetics_ea, t, to_kelvin(params_.stress_ref.temperature));
-    const double af_v =
-        std::exp((v - params_.stress_ref.gate_bias.value()) / params_.v0);
-    const double accel = af_t * af_v;
-    // Saturation level scales strongly with overdrive (the trap ensemble
-    // only fills up to a voltage-dependent energy cutoff; a cubic law
-    // tracks the calibrated model well across 0.6-1.2 V).
-    const double ratio =
-        std::max(0.1, v / params_.stress_ref.gate_bias.value());
-    const double sat_scale = ratio * ratio * ratio;
-    fast_ = relax(fast_, params_.fast_sat_v * sat_scale,
-                  params_.fast_tau_stress_s / accel, dt.value());
-    slow_ = relax(slow_, params_.slow_sat_v * sat_scale,
-                  params_.slow_tau_stress_s / accel, dt.value());
-    // Permanent precursor generation + second-order locking. Generation
-    // carries its own (stronger) voltage acceleration, mirroring the full
-    // model's gen_v0.
-    const double g =
-        params_.gen_rate_ref_v_per_s *
-        arrhenius_acceleration(params_.gen_ea, t,
-                               to_kelvin(params_.stress_ref.temperature)) *
-        std::exp((v - params_.stress_ref.gate_bias.value()) /
-                 params_.gen_v0);
-    const int substeps =
-        std::max(1, static_cast<int>(std::ceil(dt.value() / 300.0)));
-    const double h = dt.value() / substeps;
-    for (int s = 0; s < substeps; ++s) {
-      const double saturation =
-          std::max(0.0, 1.0 - (pu_ + pl_) / params_.p_max_v);
-      const double lock_flux = params_.k_lock_per_v_s * pu_ * pu_;
-      pu_ += h * (g * saturation - lock_flux);
-      pl_ += h * lock_flux;
-      pu_ = std::max(pu_, 0.0);
-    }
-  } else {
-    const double af_t = arrhenius_acceleration(
-        params_.kinetics_ea, t, to_kelvin(params_.recover_ref.temperature));
-    const double v_ref = -params_.recover_ref.gate_bias.value();
-    const double af_v = std::exp((std::max(-v, 0.0) - v_ref) / params_.v0);
-    const double accel = af_t * af_v;
-    fast_ = relax(fast_, 0.0, params_.fast_tau_recover_s / accel, dt.value());
-    slow_ = relax(slow_, 0.0, params_.slow_tau_recover_s / accel, dt.value());
-    const double anneal = params_.anneal_rate_ref_per_s * accel;
-    pu_ *= std::exp(-dt.value() * anneal);
-    pl_ *= std::exp(-dt.value() * anneal * 1e-3);
+void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
+  require_valid_dt(dt);
+  if (dt.value() == 0.0) return;
+  if (!condition.is_stress()) {
+    recover(params_, condition, dt.value(), fast_, slow_, pu_, pl_);
+    return;
   }
+  const PrecursorChain c =
+      stress_prelude(params_, condition, dt.value(), fast_, slow_);
+  double pu = pu_;
+  double pl = pl_;
+  for (int s = 0; s < c.substeps; ++s) {
+    precursor_substep(c, pu, pl);
+  }
+  pu_ = pu;
+  pl_ = pl;
+}
+
+void CompactBti::apply_batch(std::span<const BtiJob> jobs) {
+  for (const BtiJob& job : jobs) {
+    DH_REQUIRE(job.device != nullptr, "batch job has no device");
+    require_valid_dt(job.dt);
+  }
+  DH_REQUIRE(distinct_devices(jobs), "a device appears twice in one batch");
+
+  std::array<Lane, kLanes> lanes{};
+  std::size_t n = 0;
+  for (const BtiJob& job : jobs) {
+    if (job.dt.value() == 0.0) continue;
+    CompactBti& d = *job.device;
+    if (!job.condition.is_stress()) {
+      recover(d.params_, job.condition, job.dt.value(), d.fast_, d.slow_,
+              d.pu_, d.pl_);
+      continue;
+    }
+    lanes[n++] = {stress_prelude(d.params_, job.condition, job.dt.value(),
+                                 d.fast_, d.slow_),
+                  d.pu_, d.pl_, &d.pu_, &d.pl_};
+    if (n == kLanes) {
+      advance_lockstep(lanes);
+      n = 0;
+    }
+  }
+  advance_lockstep({lanes.data(), n});
 }
 
 void CompactBti::reset() {

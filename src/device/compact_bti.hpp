@@ -10,6 +10,8 @@
 // against the full ensemble is quantified by bench/ablation_compact_models.
 #pragma once
 
+#include <span>
+
 #include "device/bti_types.hpp"
 
 namespace dh::ckpt {
@@ -47,11 +49,36 @@ struct CompactBtiParams {
   double p_max_v = 0.040;
 };
 
+class CompactBti;
+
+/// One interval of one device in a CompactBti::apply_batch call.
+struct BtiJob {
+  CompactBti* device = nullptr;
+  BtiCondition condition{};
+  Seconds dt{0.0};
+};
+
 class CompactBti {
  public:
   explicit CompactBti(CompactBtiParams params = {});
 
+  /// Advance the device by `dt` under `condition`. `dt` must pass
+  /// require_valid_dt.
   void apply(const BtiCondition& condition, Seconds dt);
+
+  /// Apply every job as `job.device->apply(job.condition, job.dt)` would,
+  /// bit for bit, but advance the stressed devices' precursor chains in
+  /// lockstep so their independent substeps overlap in the pipeline.
+  /// Every job's `dt` is checked, and a device appearing in two jobs is
+  /// rejected, before any device changes: a throwing batch leaves every
+  /// device as it was.
+  static void apply_batch(std::span<const BtiJob> jobs);
+
+  /// Throws dh::Error unless `dt` is a step apply accepts: finite,
+  /// non-negative, and short enough that its 300 s substep count fits an
+  /// int.
+  static void require_valid_dt(Seconds dt);
+
   void reset();
 
   [[nodiscard]] Volts delta_vth() const;

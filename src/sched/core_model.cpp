@@ -20,13 +20,22 @@ const char* to_string(CoreAction a) {
   return "?";
 }
 
+namespace {
+
+void require_utilization(double utilization) {
+  DH_REQUIRE(utilization >= 0.0 && utilization <= 1.0,
+             "utilization must be in [0,1]");
+}
+
+}  // namespace
+
 Core::Core(CoreParams params)
     : params_(params), bti_(params.bti), ro_(params.ro) {}
 
-void Core::step(CoreAction action, double utilization, Celsius temperature,
-                Seconds dt) {
-  DH_REQUIRE(utilization >= 0.0 && utilization <= 1.0,
-             "utilization must be in [0,1]");
+std::size_t Core::quantum_jobs(CoreAction action, double utilization,
+                               Celsius temperature, Seconds dt,
+                               std::array<device::BtiJob, 2>& jobs) {
+  std::size_t n = 0;
   switch (action) {
     case CoreAction::kRun: {
       // Devices see stress for the utilized fraction of the quantum and
@@ -34,19 +43,67 @@ void Core::step(CoreAction action, double utilization, Celsius temperature,
       const Seconds stressed{dt.value() * utilization};
       const Seconds relaxed{dt.value() * (1.0 - utilization)};
       if (stressed.value() > 0.0) {
-        bti_.apply({params_.vdd, temperature}, stressed);
+        jobs[n++] = {&bti_, {params_.vdd, temperature}, stressed};
       }
       if (relaxed.value() > 0.0) {
-        bti_.apply({Volts{0.0}, temperature}, relaxed);
+        jobs[n++] = {&bti_, {Volts{0.0}, temperature}, relaxed};
       }
       break;
     }
     case CoreAction::kIdle:
-      bti_.apply({Volts{0.0}, temperature}, dt);
+      jobs[n++] = {&bti_, {Volts{0.0}, temperature}, dt};
       break;
     case CoreAction::kBtiActiveRecovery:
-      bti_.apply({params_.active_recovery_bias, temperature}, dt);
+      jobs[n++] = {&bti_, {params_.active_recovery_bias, temperature}, dt};
       break;
+  }
+  return n;
+}
+
+void Core::step(CoreAction action, double utilization, Celsius temperature,
+                Seconds dt) {
+  require_utilization(utilization);
+  std::array<device::BtiJob, 2> jobs{};
+  const std::size_t n = quantum_jobs(action, utilization, temperature, dt,
+                                     jobs);
+  for (std::size_t k = 0; k < n; ++k) {
+    bti_.apply(jobs[k].condition, jobs[k].dt);
+  }
+}
+
+void Core::step_all(std::span<Core> cores,
+                    std::span<const CoreAction> actions,
+                    std::span<const double> utilization,
+                    std::span<const Celsius> temperatures, Seconds dt) {
+  DH_REQUIRE(actions.size() == cores.size() &&
+                 utilization.size() == cores.size() &&
+                 temperatures.size() == cores.size(),
+             "step_all needs one action, utilization and temperature per "
+             "core");
+  for (const double u : utilization) require_utilization(u);
+  // Every interval is dt, dt*u or dt*(1-u) with u in [0,1], never longer
+  // than dt, so this one check clears every batch below before any core
+  // changes.
+  device::CompactBti::require_valid_dt(dt);
+  // Fixed chunks keep the job lists on the stack. Each core's first
+  // interval goes into `first` and its second (the relax part of a kRun)
+  // into `second`, which applies after, keeping stress-then-relax order.
+  constexpr std::size_t kChunk = 32;
+  std::array<device::BtiJob, kChunk> first{};
+  std::array<device::BtiJob, kChunk> second{};
+  for (std::size_t begin = 0; begin < cores.size(); begin += kChunk) {
+    const std::size_t end = std::min(cores.size(), begin + kChunk);
+    std::size_t n_first = 0;
+    std::size_t n_second = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      std::array<device::BtiJob, 2> jobs{};
+      const std::size_t n = cores[i].quantum_jobs(
+          actions[i], utilization[i], temperatures[i], dt, jobs);
+      if (n > 0) first[n_first++] = jobs[0];
+      if (n > 1) second[n_second++] = jobs[1];
+    }
+    device::CompactBti::apply_batch({first.data(), n_first});
+    device::CompactBti::apply_batch({second.data(), n_second});
   }
 }
 

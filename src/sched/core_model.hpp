@@ -3,6 +3,9 @@
 // PDN.
 #pragma once
 
+#include <array>
+#include <span>
+
 #include "common/units.hpp"
 #include "device/compact_bti.hpp"
 #include "device/ring_oscillator.hpp"
@@ -43,6 +46,17 @@ class Core {
   void step(CoreAction action, double utilization, Celsius temperature,
             Seconds dt);
 
+  /// Advance every core one quantum, with the same results bit for bit as
+  /// `cores[i].step(actions[i], utilization[i], temperatures[i], dt)` for
+  /// each i, but with all cores' BTI stepped in lockstep
+  /// (CompactBti::apply_batch). Every utilization and `dt` (which must
+  /// pass CompactBti::require_valid_dt) are checked before any core
+  /// changes. Allocates nothing.
+  static void step_all(std::span<Core> cores,
+                       std::span<const CoreAction> actions,
+                       std::span<const double> utilization,
+                       std::span<const Celsius> temperatures, Seconds dt);
+
   [[nodiscard]] Volts delta_vth() const { return bti_.delta_vth(); }
   [[nodiscard]] device::BtiBreakdown bti_breakdown() const {
     return bti_.breakdown();
@@ -68,6 +82,13 @@ class Core {
   void load_state(ckpt::Deserializer& d);
 
  private:
+  /// The BTI intervals one quantum puts on this core, in the order they
+  /// apply: a stress interval, a relax interval, or both. Returns how many
+  /// of `jobs` it filled.
+  std::size_t quantum_jobs(CoreAction action, double utilization,
+                           Celsius temperature, Seconds dt,
+                           std::array<device::BtiJob, 2>& jobs);
+
   CoreParams params_;
   device::CompactBti bti_;
   device::RingOscillator ro_;

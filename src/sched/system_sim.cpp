@@ -80,6 +80,12 @@ SystemSimulator::SystemSimulator(SystemParams params,
                       static_cast<double>(n)};
     workloads_.emplace_back(w);
   }
+  demand_.resize(n);
+  obs_.resize(n);
+  util_.resize(n);
+  power_.resize(n);
+  loads_.resize(n);
+  temps_.resize(n);
   last_good_sensor_.assign(n, 0.0);
 }
 
@@ -93,13 +99,11 @@ void SystemSimulator::step() {
   const Seconds dt = params_.quantum;
 
   // 1. Demand.
-  std::vector<double> demand(n);
   for (std::size_t i = 0; i < n; ++i) {
-    demand[i] = workloads_[i].sample(Seconds{now_s_}, rng_);
+    demand_[i] = workloads_[i].sample(Seconds{now_s_}, rng_);
   }
 
   // 2. Observations + policy.
-  std::vector<CoreObservation> obs(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double noise = rng_.normal(0.0, params_.sensor_noise.value());
     double sensed = cores_[i].delta_vth().value() + noise;
@@ -112,25 +116,25 @@ void SystemSimulator::step() {
       sensed = std::max(0.0, sensed);
       last_good_sensor_[i] = sensed;
     }
-    obs[i].sensed_dvth = Volts{sensed};
-    obs[i].temperature = thermal_.temperature(i);
-    obs[i].demanded_utilization = demand[i];
+    obs_[i].sensed_dvth = Volts{sensed};
+    obs_[i].temperature = thermal_.temperature(i);
+    obs_[i].demanded_utilization = demand_[i];
   }
-  PolicyDecision decision = policy_->decide(obs, Seconds{now_s_}, dt, rng_);
+  PolicyDecision decision = policy_->decide(obs_, Seconds{now_s_}, dt, rng_);
   DH_REQUIRE(decision.actions.size() == n,
              "policy returned wrong action count");
 
   // 3. Workload migration: demand of non-running cores spreads across the
   // running ones (capped at full utilization).
-  std::vector<double> util(n, 0.0);
+  std::fill(util_.begin(), util_.end(), 0.0);
   double displaced = 0.0;
   std::size_t running = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (decision.actions[i] == CoreAction::kRun) {
-      util[i] = demand[i];
+      util_[i] = demand_[i];
       ++running;
     } else {
-      displaced += demand[i];
+      displaced += demand_[i];
     }
   }
   if (running > 0 && displaced > 0.0) {
@@ -139,49 +143,48 @@ void SystemSimulator::step() {
     const double share = displaced / static_cast<double>(running);
     for (std::size_t i = 0; i < n; ++i) {
       if (decision.actions[i] == CoreAction::kRun) {
-        const double add = std::min(share, 1.0 - util[i]);
-        util[i] += add;
+        const double add = std::min(share, 1.0 - util_[i]);
+        util_[i] += add;
         displaced -= add;
       }
     }
   }
 
   // 4. Thermal.
-  std::vector<double> power(n);
   for (std::size_t i = 0; i < n; ++i) {
-    power[i] = cores_[i]
-                   .power(decision.actions[i], util[i],
-                          thermal_.temperature(i))
-                   .value();
+    power_[i] = cores_[i]
+                    .power(decision.actions[i], util_[i],
+                           thermal_.temperature(i))
+                    .value();
   }
-  thermal_.set_power_map(power);
+  thermal_.set_power_map(power_);
   thermal_.solve_steady();
 
-  // 5. Core aging at tile temperature.
+  // 5. Core aging at tile temperature, every core's BTI in lockstep.
+  for (std::size_t i = 0; i < n; ++i) {
+    temps_[i] = thermal_.temperature(i);
+  }
+  Core::step_all(cores_, decision.actions, util_, temps_, dt);
   double delivered = 0.0;
   double demanded = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const Celsius t = thermal_.temperature(i);
-    cores_[i].step(decision.actions[i], util[i], t, dt);
-    demanded += demand[i];
+    demanded += demand_[i];
     if (decision.actions[i] == CoreAction::kRun) {
       // Throughput delivered scales with the aged clock.
-      delivered += util[i] * (1.0 - cores_[i].degradation());
+      delivered += util_[i] * (1.0 - cores_[i].degradation());
     }
-    energy_j_ += power[i] * dt.value();
+    energy_j_ += power_[i] * dt.value();
   }
   demanded_acc_ += demanded;
   delivered_acc_ += std::min(delivered, demanded);
 
   // 6. PDN aging.
-  std::vector<double> loads(n);
   for (std::size_t i = 0; i < n; ++i) {
-    loads[i] = cores_[i]
-                   .supply_current(decision.actions[i], util[i],
-                                   thermal_.temperature(i))
-                   .value();
+    loads_[i] = cores_[i]
+                    .supply_current(decision.actions[i], util_[i], temps_[i])
+                    .value();
   }
-  pdn_.step(loads, thermal_.max_temperature(), dt,
+  pdn_.step(loads_, thermal_.max_temperature(), dt,
             decision.em_recovery_mode);
 
   // 7. Metrics. Simulated time is derived from the integer step count so
@@ -199,7 +202,7 @@ void SystemSimulator::step() {
   }
   guardband_ = std::max(guardband_, worst_deg);
   temp_acc_ += thermal_.mean_temperature().value();
-  const double ir_drop_v = pdn_.stats().worst_drop_v;
+  const double ir_drop_v = pdn_.last_solution().worst_drop_v;
   const double max_temp_c = thermal_.max_temperature().value();
   degradation_trace_.append(Seconds{now_s_}, worst_deg);
   ir_drop_trace_.append(Seconds{now_s_}, ir_drop_v);

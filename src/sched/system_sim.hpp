@@ -9,7 +9,8 @@
 //   3. demand of non-running cores migrates to running ones,
 //   4. the power map feeds the thermal grid (steady-state per quantum —
 //      thermal time constants are far below the quantum),
-//   5. cores age/recover at their tile temperatures (compact BTI),
+//   5. cores age/recover at their tile temperatures (compact BTI, every
+//      core stepped in lockstep by Core::step_all),
 //   6. the PDN ages at its per-segment current densities (compact EM),
 //   7. metrics are recorded.
 #pragma once
@@ -149,6 +150,14 @@ class SystemSimulator {
   bool was_recovering_ = false;  // edge detector for recovery_enter events
   double guardband_ = 0.0;
   double first_failure_s_ = -1.0;
+  // Per-quantum buffers, sized once in the constructor so step() does not
+  // allocate them. Rewritten every quantum; not checkpointed.
+  std::vector<double> demand_;
+  std::vector<CoreObservation> obs_;
+  std::vector<double> util_;
+  std::vector<double> power_;
+  std::vector<double> loads_;
+  std::vector<Celsius> temps_;
   /// Last accepted per-core sensor reading — the substitute when a read
   /// comes back non-finite or absurd (a broken or very noisy sensor).
   std::vector<double> last_good_sensor_;

@@ -5,12 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
 #include "device/bti_model.hpp"
 #include "device/calibration.hpp"
 
 namespace dh::device {
 namespace {
+
+std::vector<std::uint8_t> state_bytes(const CompactBti& m) {
+  ckpt::Serializer s;
+  m.save_state(s);
+  return s.take();
+}
 
 TEST(CompactBti, FreshIsZero) {
   CompactBti m{};
@@ -108,6 +120,118 @@ TEST(CompactBti, NegativeDtThrows) {
   CompactBti m{};
   EXPECT_THROW(m.apply(paper_conditions::recovery_no1(), Seconds{-5.0}),
                Error);
+}
+
+TEST(CompactBti, RejectsNonFiniteOrOversizedDt) {
+  // An infinite step used to leave a NaN shift, and a huge one overflowed
+  // the int substep count (undefined behaviour) into one Euler step.
+  CompactBti m{};
+  m.apply(paper_conditions::accelerated_stress(), hours(2.0));
+  const auto before = state_bytes(m);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double dt : {kInf, -kInf,
+                          std::numeric_limits<double>::quiet_NaN(), 1e13}) {
+    EXPECT_THROW(m.apply(paper_conditions::accelerated_stress(), Seconds{dt}),
+                 Error)
+        << dt;
+    EXPECT_THROW(m.apply(paper_conditions::recovery_no4(), Seconds{dt}),
+                 Error)
+        << dt;
+  }
+  EXPECT_EQ(state_bytes(m), before);
+  // The bound is the substep counter's range. Recovery is closed form, so
+  // the longest accepted step is cheap to apply.
+  const double max_substeps = std::numeric_limits<int>::max();
+  EXPECT_NO_THROW(m.apply(paper_conditions::recovery_no4(),
+                          Seconds{300.0 * max_substeps}));
+  EXPECT_THROW(m.apply(paper_conditions::recovery_no4(),
+                       Seconds{300.0 * (max_substeps + 1.0)}),
+               Error);
+}
+
+TEST(CompactBti, BatchMatchesApplyBitForBit) {
+  // More stressed devices than advance together, each with its own params,
+  // step lengths and substep counts, listed out of address order.
+  constexpr std::size_t kDevices = 45;
+  std::vector<CompactBti> batched;
+  std::vector<CompactBti> single;
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    CompactBtiParams p;
+    p.k_lock_per_v_s *= 1.0 + 0.01 * static_cast<double>(i);
+    p.gen_v0 += 0.001 * static_cast<double>(i % 7);
+    batched.emplace_back(p);
+    single.emplace_back(p);
+  }
+  const BtiCondition recover{Volts{-0.3}, Celsius{70.0}};
+  std::vector<BtiJob> jobs;
+  for (int round = 0; round < 20; ++round) {
+    jobs.clear();
+    for (std::size_t k = 0; k < kDevices; ++k) {
+      const std::size_t i = (k * 17 + static_cast<std::size_t>(round)) %
+                            kDevices;  // 17 is coprime to 45
+      const double minutes_long =
+          static_cast<double>((i * 13 + static_cast<std::size_t>(round) * 7) %
+                              400);  // 0 (a no-op) to 399 min
+      const BtiCondition stress{Volts{0.8 + 0.01 * static_cast<double>(i % 9)},
+                                Celsius{60.0 + static_cast<double>(i)}};
+      const BtiCondition& c = (i + static_cast<std::size_t>(round)) % 5 == 0
+                                  ? recover
+                                  : stress;
+      jobs.push_back({&batched[i], c, minutes(minutes_long)});
+      single[i].apply(c, minutes(minutes_long));
+    }
+    CompactBti::apply_batch(jobs);
+    for (std::size_t i = 0; i < kDevices; ++i) {
+      ASSERT_EQ(state_bytes(batched[i]), state_bytes(single[i]))
+          << "device " << i << " round " << round;
+    }
+  }
+  EXPECT_GT(batched[0].breakdown().locked.value(), 0.0);
+}
+
+TEST(CompactBti, BatchRejectsBadJobWithoutMutating) {
+  std::array<CompactBti, 3> d;
+  for (CompactBti& m : d) {
+    m.apply(paper_conditions::accelerated_stress(), hours(2.0));
+  }
+  const auto stress = paper_conditions::accelerated_stress();
+  const auto recover = paper_conditions::recovery_no4();
+  const auto before = state_bytes(d[0]);
+  const auto check_unchanged = [&] {
+    for (const CompactBti& m : d) EXPECT_EQ(state_bytes(m), before);
+  };
+  // The bad job comes last, after good jobs on the other devices.
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const std::array<BtiJob, 3> jobs{{{&d[0], stress, hours(6.0)},
+                                      {&d[1], recover, hours(6.0)},
+                                      {&d[2], stress, Seconds{bad}}}};
+    EXPECT_THROW(CompactBti::apply_batch(jobs), Error) << bad;
+    check_unchanged();
+  }
+  const std::array<BtiJob, 3> twice{{{&d[0], stress, hours(6.0)},
+                                     {&d[1], stress, hours(6.0)},
+                                     {&d[0], recover, hours(6.0)}}};
+  EXPECT_THROW(CompactBti::apply_batch(twice), Error);
+  check_unchanged();
+  const std::array<BtiJob, 2> no_device{{{&d[0], stress, hours(6.0)},
+                                         {nullptr, stress, hours(6.0)}}};
+  EXPECT_THROW(CompactBti::apply_batch(no_device), Error);
+  check_unchanged();
+}
+
+TEST(CompactBti, BatchOfDtZeroIsNoOp) {
+  std::array<CompactBti, 2> d;
+  for (CompactBti& m : d) {
+    m.apply(paper_conditions::accelerated_stress(), hours(2.0));
+  }
+  const auto before = state_bytes(d[0]);
+  CompactBti::apply_batch({});
+  const std::array<BtiJob, 2> jobs{
+      {{&d[0], paper_conditions::accelerated_stress(), Seconds{0.0}},
+       {&d[1], paper_conditions::recovery_no4(), Seconds{0.0}}}};
+  CompactBti::apply_batch(jobs);
+  for (const CompactBti& m : d) EXPECT_EQ(state_bytes(m), before);
 }
 
 }  // namespace

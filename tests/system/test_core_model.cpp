@@ -2,12 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
 
 namespace dh::sched {
 namespace {
 
 Core make_core() { return Core{CoreParams{}}; }
+
+std::vector<std::uint8_t> state_bytes(const Core& c) {
+  ckpt::Serializer s;
+  c.save_state(s);
+  return s.take();
+}
 
 TEST(CoreModel, FreshCoreAtFullSpeed) {
   const Core c = make_core();
@@ -101,6 +112,81 @@ TEST(CoreModel, InvalidUtilizationRejected) {
   Core c = make_core();
   EXPECT_THROW(c.step(CoreAction::kRun, 1.5, Celsius{85.0}, hours(1.0)),
                dh::Error);
+}
+
+TEST(CoreModel, StepAllMatchesPerCoreStepBitForBit) {
+  // More cores than step_all stages at once; every core cycles through
+  // run at several utilizations (uneven substep counts, u = 0 and 1 with
+  // a single interval), idle and active recovery, each at its own
+  // temperature.
+  constexpr std::size_t kCores = 40;
+  std::vector<Core> batched(kCores, make_core());
+  std::vector<Core> single(kCores, make_core());
+  struct Mix {
+    CoreAction action;
+    double utilization;
+  };
+  const std::vector<Mix> mixes = {
+      {CoreAction::kRun, 0.0},   {CoreAction::kRun, 0.013},
+      {CoreAction::kRun, 0.5},   {CoreAction::kRun, 1.0},
+      {CoreAction::kIdle, 0.3},  {CoreAction::kBtiActiveRecovery, 0.0},
+  };
+  std::vector<CoreAction> actions(kCores);
+  std::vector<double> util(kCores);
+  std::vector<Celsius> temps(kCores);
+  for (std::size_t q = 0; q < 300; ++q) {
+    const Seconds dt = q % 4 == 3 ? minutes(37.0) : hours(6.0);
+    for (std::size_t i = 0; i < kCores; ++i) {
+      const Mix& m = mixes[(i * 5 + q * 7 + q / 11) % mixes.size()];
+      actions[i] = m.action;
+      util[i] = m.utilization;
+      temps[i] = Celsius{45.0 + 1.5 * static_cast<double>(i) +
+                         static_cast<double>(q % 9)};
+      single[i].step(actions[i], util[i], temps[i], dt);
+    }
+    Core::step_all(batched, actions, util, temps, dt);
+    for (std::size_t i = 0; i < kCores; ++i) {
+      const device::BtiBreakdown a = batched[i].bti_breakdown();
+      const device::BtiBreakdown b = single[i].bti_breakdown();
+      ASSERT_EQ(batched[i].delta_vth().value(), single[i].delta_vth().value())
+          << "core " << i << " quantum " << q;
+      ASSERT_EQ(a.recoverable.value(), b.recoverable.value());
+      ASSERT_EQ(a.unlocked.value(), b.unlocked.value());
+      ASSERT_EQ(a.locked.value(), b.locked.value());
+      ASSERT_EQ(state_bytes(batched[i]), state_bytes(single[i]));
+    }
+  }
+  EXPECT_GT(batched[0].delta_vth().value(), 0.0);
+}
+
+TEST(CoreModel, StepAllRejectsBadInputWithoutMutating) {
+  constexpr std::size_t kCores = 40;
+  std::vector<Core> cores(kCores, make_core());
+  std::vector<CoreAction> actions(kCores, CoreAction::kRun);
+  std::vector<double> util(kCores, 0.7);
+  std::vector<Celsius> temps(kCores, Celsius{85.0});
+  Core::step_all(cores, actions, util, temps, hours(6.0));
+  const auto before = state_bytes(cores[0]);
+  const auto check_unchanged = [&] {
+    for (const Core& c : cores) EXPECT_EQ(state_bytes(c), before);
+  };
+  // A bad utilization on the last core, past the first chunk of cores.
+  util.back() = 1.5;
+  EXPECT_THROW(Core::step_all(cores, actions, util, temps, hours(6.0)),
+               dh::Error);
+  check_unchanged();
+  util.back() = 0.7;
+  for (const double dt : {-1.0, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), 1e13}) {
+    EXPECT_THROW(Core::step_all(cores, actions, util, temps, Seconds{dt}),
+                 dh::Error)
+        << dt;
+    check_unchanged();
+  }
+  temps.pop_back();
+  EXPECT_THROW(Core::step_all(cores, actions, util, temps, hours(6.0)),
+               dh::Error);
+  check_unchanged();
 }
 
 TEST(CoreModel, ActionNames) {
