@@ -26,9 +26,9 @@ JsonlTraceSink::JsonlTraceSink(const std::string& path)
 
 JsonlTraceSink::~JsonlTraceSink() {
   // Flush-on-destruction: the trace tail must survive normal process exit
-  // even if nobody called flush_trace(). A failed final flush must NOT
-  // propagate from a destructor. The drop count dies with the sink, so
-  // any loss is reported on stderr.
+  // without an explicit flush. A failed final flush must NOT propagate
+  // from a destructor. The drop count dies with the sink, so any loss is
+  // reported on stderr.
   try {
     if (impl_ && impl_->out.is_open()) {
       impl_->out.flush();
@@ -172,22 +172,13 @@ void trace_event_at(const char* category, const char* name,
   emit(category, name, sim_time_s, true, fields);
 }
 
-void set_trace_sink(std::unique_ptr<TraceSink> sink, bool rearm_env) {
+void set_trace_sink(std::unique_ptr<TraceSink> sink) {
   std::lock_guard<std::mutex> lock(g_mu);
   if (g_sink) g_sink->flush();
   g_sink = std::move(sink);
   g_epoch = std::chrono::steady_clock::now();
-  if (g_sink) {
-    g_env_pending = false;
-  } else {
-    g_env_pending = rearm_env && !g_env_path.empty();
-  }
+  g_env_pending = false;
   rearm_locked();
-}
-
-void flush_trace() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  if (g_sink) g_sink->flush();
 }
 
 }  // namespace dh::obs

@@ -90,11 +90,8 @@ void trace_event_at(const char* category, const char* name,
                     std::initializer_list<TraceField> fields);
 
 /// Install (or clear, with nullptr) the process trace sink. Replacing a
-/// sink flushes and destroys the old one. Clearing re-arms DH_TRACE only
-/// if `rearm_env` is true (tests usually want a clean off state).
-void set_trace_sink(std::unique_ptr<TraceSink> sink, bool rearm_env = false);
-
-/// Flush the installed sink, if any.
-void flush_trace();
+/// sink flushes and destroys the old one. Either way a DH_TRACE sink not
+/// yet opened never opens.
+void set_trace_sink(std::unique_ptr<TraceSink> sink);
 
 }  // namespace dh::obs

@@ -45,19 +45,18 @@ class Rng {
     return std::uniform_int_distribution<int>{lo, hi}(engine_);
   }
 
-  /// Standard normal deviate scaled to (mean, sigma).
+  /// Standard normal deviate scaled to (mean, sigma), sigma >= 0. Sigma 0
+  /// returns `mean` and still advances the engine as any other sigma does.
   [[nodiscard]] double normal(double mean, double sigma) {
-    return std::normal_distribution<double>{mean, sigma}(engine_);
+    // Scaled here, not by the distribution: std::normal_distribution
+    // requires stddev > 0, and callers pass 0 to switch noise off. The
+    // distribution computes the same z * stddev + mean, so the bits match.
+    return std::normal_distribution<double>{}(engine_) * sigma + mean;
   }
 
   /// Lognormal deviate with the given log-domain parameters.
   [[nodiscard]] double lognormal(double mu, double sigma) {
     return std::lognormal_distribution<double>{mu, sigma}(engine_);
-  }
-
-  /// Exponential deviate with the given rate (lambda).
-  [[nodiscard]] double exponential(double rate) {
-    return std::exponential_distribution<double>{rate}(engine_);
   }
 
   /// Bernoulli trial with probability p of true.

@@ -17,6 +17,8 @@ BtiModel BtiModel::paper_calibrated() {
 }
 
 void BtiModel::apply(const BtiCondition& condition, Seconds dt) {
+  // Checked before the ensemble moves, so a rejected step changes nothing.
+  PermanentComponent::require_valid_dt(dt);
   ensemble_.apply(condition, dt);
   permanent_.apply(condition, dt);
 }

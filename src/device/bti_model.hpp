@@ -22,7 +22,8 @@ class BtiModel {
   /// fitted constants and the fitting procedure).
   [[nodiscard]] static BtiModel paper_calibrated();
 
-  /// Advance the device state for `dt` under a constant condition.
+  /// Advance the device state for `dt` under a constant condition. `dt`
+  /// must pass PermanentComponent::require_valid_dt.
   void apply(const BtiCondition& condition, Seconds dt);
 
   /// Convenience: run a stress phase then a recovery phase.

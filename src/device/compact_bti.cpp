@@ -14,6 +14,32 @@ namespace dh::device {
 
 namespace {
 
+// The calibration. Saturation levels of the two recoverable pools (V of
+// Vth shift) at the reference stress condition.
+constexpr double kFastSatV = 0.012;
+constexpr double kSlowSatV = 0.040;
+// Capture time constants at the reference stress condition.
+constexpr double kFastTauStressS = 600.0;  // ~10 min
+constexpr double kSlowTauStressS = 3.6e5;  // ~100 h
+// Emission time constants at the reference *active accelerated* recovery
+// condition (110 C, -0.3 V).
+constexpr double kFastTauRecoverS = 300.0;
+constexpr double kSlowTauRecoverS = 1.5e4;
+// Reference conditions the taus are quoted at.
+constexpr BtiCondition kStressRef{Volts{1.2}, Celsius{110.0}};
+constexpr BtiCondition kRecoverRef{Volts{-0.3}, Celsius{110.0}};
+// Arrhenius activation energy for both pools' kinetics.
+constexpr ElectronVolts kKineticsEa{0.55};
+// Voltage acceleration (per e-fold) for capture/emission.
+constexpr double kV0 = 0.25;
+// Permanent precursor dynamics (same structure as the full model).
+constexpr double kGenRateRefVPerS = 2.55e-7;
+constexpr double kGenV0 = 0.1;  // strong voltage acceleration of generation
+constexpr ElectronVolts kGenEa{0.80};  // generation activation energy
+constexpr double kKLockPerVS = 0.041;
+constexpr double kAnnealRateRefPerS = 2.8e-4;  // at kRecoverRef
+constexpr double kPMaxV = 0.040;
+
 /// Forward-Euler substep length of the permanent precursor dynamics.
 constexpr double kSubstepS = 300.0;
 
@@ -36,51 +62,40 @@ double relax(double x, double target, double tau, double dt) {
 }
 
 /// The forward-Euler chain of one stressed interval: the generation rate
-/// `g`, the step `h` and the number of steps, plus the two params the
-/// step reads.
+/// `g`, the step `h` and the number of steps.
 struct PrecursorChain {
   double g;
   double h;
   int substeps;
-  double p_max_v;
-  double k_lock_per_v_s;
 };
 
 /// The closed-form part of a stress interval: relaxes the recoverable
 /// pools and returns the permanent precursor's chain.
-inline PrecursorChain stress_prelude(const CompactBtiParams& p,
-                                     const BtiCondition& condition,
+inline PrecursorChain stress_prelude(const BtiCondition& condition,
                                      double dt, double& fast, double& slow) {
   const Kelvin t = to_kelvin(condition.temperature);
   const double v = condition.gate_bias.value();
   const double af_t = arrhenius_acceleration(
-      p.kinetics_ea, t, to_kelvin(p.stress_ref.temperature));
-  const double af_v = std::exp((v - p.stress_ref.gate_bias.value()) / p.v0);
+      kKineticsEa, t, to_kelvin(kStressRef.temperature));
+  const double af_v = std::exp((v - kStressRef.gate_bias.value()) / kV0);
   const double accel = af_t * af_v;
   // Saturation level scales strongly with overdrive (the trap ensemble
   // only fills up to a voltage-dependent energy cutoff; a cubic law
   // tracks the calibrated model well across 0.6-1.2 V).
-  const double ratio = std::max(0.1, v / p.stress_ref.gate_bias.value());
+  const double ratio = std::max(0.1, v / kStressRef.gate_bias.value());
   const double sat_scale = ratio * ratio * ratio;
-  fast = relax(fast, p.fast_sat_v * sat_scale, p.fast_tau_stress_s / accel,
-               dt);
-  slow = relax(slow, p.slow_sat_v * sat_scale, p.slow_tau_stress_s / accel,
-               dt);
+  fast = relax(fast, kFastSatV * sat_scale, kFastTauStressS / accel, dt);
+  slow = relax(slow, kSlowSatV * sat_scale, kSlowTauStressS / accel, dt);
   // Permanent precursor generation + second-order locking. Generation
   // carries its own (stronger) voltage acceleration, mirroring the full
   // model's gen_v0.
   const double g =
-      p.gen_rate_ref_v_per_s *
-      arrhenius_acceleration(p.gen_ea, t,
-                             to_kelvin(p.stress_ref.temperature)) *
-      std::exp((v - p.stress_ref.gate_bias.value()) / p.gen_v0);
+      kGenRateRefVPerS *
+      arrhenius_acceleration(kGenEa, t, to_kelvin(kStressRef.temperature)) *
+      std::exp((v - kStressRef.gate_bias.value()) / kGenV0);
   const int substeps =
       std::max(1, static_cast<int>(std::ceil(dt / kSubstepS)));
-  return PrecursorChain{.g = g,
-                        .h = dt / substeps,
-                        .substeps = substeps,
-                        .p_max_v = p.p_max_v,
-                        .k_lock_per_v_s = p.k_lock_per_v_s};
+  return PrecursorChain{.g = g, .h = dt / substeps, .substeps = substeps};
 }
 
 /// One forward-Euler substep of the precursor chain. The one copy of this
@@ -88,27 +103,26 @@ inline PrecursorChain stress_prelude(const CompactBtiParams& p,
 /// bit for bit.
 inline void precursor_substep(const PrecursorChain& c, double& pu,
                               double& pl) {
-  const double saturation = std::max(0.0, 1.0 - (pu + pl) / c.p_max_v);
-  const double lock_flux = c.k_lock_per_v_s * pu * pu;
+  const double saturation = std::max(0.0, 1.0 - (pu + pl) / kPMaxV);
+  const double lock_flux = kKLockPerVS * pu * pu;
   pu += c.h * (c.g * saturation - lock_flux);
   pl += c.h * lock_flux;
   pu = std::max(pu, 0.0);
 }
 
 /// A recovery interval (zero or negative bias) in closed form.
-inline void recover(const CompactBtiParams& p, const BtiCondition& condition,
-                    double dt, double& fast, double& slow, double& pu,
-                    double& pl) {
+inline void recover(const BtiCondition& condition, double dt, double& fast,
+                    double& slow, double& pu, double& pl) {
   const Kelvin t = to_kelvin(condition.temperature);
   const double v = condition.gate_bias.value();
   const double af_t = arrhenius_acceleration(
-      p.kinetics_ea, t, to_kelvin(p.recover_ref.temperature));
-  const double v_ref = -p.recover_ref.gate_bias.value();
-  const double af_v = std::exp((std::max(-v, 0.0) - v_ref) / p.v0);
+      kKineticsEa, t, to_kelvin(kRecoverRef.temperature));
+  const double v_ref = -kRecoverRef.gate_bias.value();
+  const double af_v = std::exp((std::max(-v, 0.0) - v_ref) / kV0);
   const double accel = af_t * af_v;
-  fast = relax(fast, 0.0, p.fast_tau_recover_s / accel, dt);
-  slow = relax(slow, 0.0, p.slow_tau_recover_s / accel, dt);
-  const double anneal = p.anneal_rate_ref_per_s * accel;
+  fast = relax(fast, 0.0, kFastTauRecoverS / accel, dt);
+  slow = relax(slow, 0.0, kSlowTauRecoverS / accel, dt);
+  const double anneal = kAnnealRateRefPerS * accel;
   pu *= std::exp(-dt * anneal);
   pl *= std::exp(-dt * anneal * 1e-3);
 }
@@ -171,11 +185,6 @@ bool distinct_devices(std::span<const BtiJob> jobs) {
 
 }  // namespace
 
-CompactBti::CompactBti(CompactBtiParams params) : params_(params) {
-  DH_REQUIRE(params_.fast_sat_v > 0.0 && params_.slow_sat_v > 0.0,
-             "pool saturation levels must be positive");
-}
-
 void CompactBti::require_valid_dt(Seconds dt) {
   // The bound also rejects NaN and infinity.
   DH_REQUIRE(dt.value() >= 0.0 && dt.value() <= kMaxDtS,
@@ -187,11 +196,10 @@ void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
   require_valid_dt(dt);
   if (dt.value() == 0.0) return;
   if (!condition.is_stress()) {
-    recover(params_, condition, dt.value(), fast_, slow_, pu_, pl_);
+    recover(condition, dt.value(), fast_, slow_, pu_, pl_);
     return;
   }
-  const PrecursorChain c =
-      stress_prelude(params_, condition, dt.value(), fast_, slow_);
+  const PrecursorChain c = stress_prelude(condition, dt.value(), fast_, slow_);
   double pu = pu_;
   double pl = pl_;
   for (int s = 0; s < c.substeps; ++s) {
@@ -214,13 +222,12 @@ void CompactBti::apply_batch(std::span<const BtiJob> jobs) {
     if (job.dt.value() == 0.0) continue;
     CompactBti& d = *job.device;
     if (!job.condition.is_stress()) {
-      recover(d.params_, job.condition, job.dt.value(), d.fast_, d.slow_,
-              d.pu_, d.pl_);
+      recover(job.condition, job.dt.value(), d.fast_, d.slow_, d.pu_, d.pl_);
       continue;
     }
-    lanes[n++] = {stress_prelude(d.params_, job.condition, job.dt.value(),
-                                 d.fast_, d.slow_),
-                  d.pu_, d.pl_, &d.pu_, &d.pl_};
+    lanes[n++] = {
+        stress_prelude(job.condition, job.dt.value(), d.fast_, d.slow_),
+        d.pu_, d.pl_, &d.pu_, &d.pl_};
     if (n == kLanes) {
       advance_lockstep(lanes);
       n = 0;

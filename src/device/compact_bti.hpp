@@ -8,6 +8,8 @@
 // permanent dynamics, cheap enough to step once per scheduling quantum for
 // hundreds of cores over years of simulated lifetime. Its fidelity
 // against the full ensemble is quantified by bench/ablation_compact_models.
+// The calibration is one fixed set of constants in compact_bti.cpp, so a
+// device is just its four pool states.
 #pragma once
 
 #include <span>
@@ -21,34 +23,6 @@ class Deserializer;
 
 namespace dh::device {
 
-struct CompactBtiParams {
-  // Saturation levels of the two recoverable pools (V of Vth shift) at the
-  // reference stress condition.
-  double fast_sat_v = 0.012;
-  double slow_sat_v = 0.040;
-  // Capture time constants at the reference stress condition.
-  double fast_tau_stress_s = 600.0;     // ~10 min
-  double slow_tau_stress_s = 3.6e5;     // ~100 h
-  // Emission time constants at the reference *active accelerated* recovery
-  // condition (110 C, -0.3 V).
-  double fast_tau_recover_s = 300.0;
-  double slow_tau_recover_s = 1.5e4;
-  // Reference conditions the taus are quoted at.
-  BtiCondition stress_ref{Volts{1.2}, Celsius{110.0}};
-  BtiCondition recover_ref{Volts{-0.3}, Celsius{110.0}};
-  // Arrhenius activation energy for both pools' kinetics.
-  ElectronVolts kinetics_ea{0.55};
-  // Voltage acceleration (per e-fold) for capture/emission.
-  double v0 = 0.25;
-  // Permanent precursor dynamics (same structure as the full model).
-  double gen_rate_ref_v_per_s = 2.55e-7;
-  double gen_v0 = 0.1;  // strong voltage acceleration of generation
-  ElectronVolts gen_ea{0.80};  // generation activation energy
-  double k_lock_per_v_s = 0.041;
-  double anneal_rate_ref_per_s = 2.8e-4;  // at recover_ref
-  double p_max_v = 0.040;
-};
-
 class CompactBti;
 
 /// One interval of one device in a CompactBti::apply_batch call.
@@ -60,8 +34,6 @@ struct BtiJob {
 
 class CompactBti {
  public:
-  explicit CompactBti(CompactBtiParams params = {});
-
   /// Advance the device by `dt` under `condition`. `dt` must pass
   /// require_valid_dt.
   void apply(const BtiCondition& condition, Seconds dt);
@@ -84,15 +56,11 @@ class CompactBti {
   [[nodiscard]] Volts delta_vth() const;
   [[nodiscard]] BtiBreakdown breakdown() const;
 
-  [[nodiscard]] const CompactBtiParams& params() const { return params_; }
-
-  /// Checkpoint support: bit-exact snapshot of the pool states (params
-  /// are construction inputs and not serialized).
+  /// Checkpoint support: bit-exact snapshot of the pool states.
   void save_state(ckpt::Serializer& s) const;
   void load_state(ckpt::Deserializer& d);
 
  private:
-  CompactBtiParams params_;
   double fast_ = 0.0;
   double slow_ = 0.0;
   double pu_ = 0.0;

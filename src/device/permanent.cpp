@@ -2,11 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/arrhenius.hpp"
 #include "common/error.hpp"
 
 namespace dh::device {
+
+namespace {
+
+/// Forward-Euler substep length of the precursor dynamics under stress.
+constexpr double kSubstepS = 60.0;
+
+/// The longest step whose substep count, ceil(dt / kSubstepS), fits an
+/// int. Exactly representable, and dividing it by kSubstepS gives exactly
+/// INT_MAX, so every step up to it has a count that fits.
+constexpr double kMaxDtS =
+    kSubstepS * static_cast<double>(std::numeric_limits<int>::max());
+
+}  // namespace
 
 PermanentComponent::PermanentComponent(PermanentComponentParams params)
     : params_(params) {
@@ -15,8 +29,15 @@ PermanentComponent::PermanentComponent(PermanentComponentParams params)
              "generation rate must be non-negative");
 }
 
+void PermanentComponent::require_valid_dt(Seconds dt) {
+  // The bound also rejects NaN and infinity.
+  DH_REQUIRE(dt.value() >= 0.0 && dt.value() <= kMaxDtS,
+             "time step must be non-negative and at most 60 s x INT_MAX "
+             "(the substep count is an int)");
+}
+
 void PermanentComponent::apply(const BtiCondition& condition, Seconds dt) {
-  DH_REQUIRE(dt.value() >= 0.0, "time step must be non-negative");
+  require_valid_dt(dt);
   if (dt.value() == 0.0) return;
   const Kelvin t = to_kelvin(condition.temperature);
   const double v = condition.gate_bias.value();
@@ -32,7 +53,7 @@ void PermanentComponent::apply(const BtiCondition& condition, Seconds dt) {
                          params_.gen_ea, t,
                          to_kelvin(params_.gen_ref_temperature));
     const int substeps =
-        std::max(1, static_cast<int>(std::ceil(dt.value() / 60.0)));
+        std::max(1, static_cast<int>(std::ceil(dt.value() / kSubstepS)));
     const double h = dt.value() / substeps;
     for (int s = 0; s < substeps; ++s) {
       const double saturation =

@@ -46,8 +46,14 @@ class PermanentComponent {
  public:
   explicit PermanentComponent(PermanentComponentParams params);
 
+  /// Advance by `dt` under `condition`. `dt` must pass require_valid_dt.
   void apply(const BtiCondition& condition, Seconds dt);
   void reset();
+
+  /// Throws dh::Error unless `dt` is a step apply accepts: finite,
+  /// non-negative, and short enough that its 60 s substep count fits an
+  /// int.
+  static void require_valid_dt(Seconds dt);
 
   [[nodiscard]] Volts unlocked() const { return Volts{pu_}; }
   [[nodiscard]] Volts locked() const { return Volts{pl_}; }

@@ -8,6 +8,15 @@
 
 namespace dh::em {
 
+namespace {
+
+/// Ratio between adjacent pool time constants.
+constexpr double kTauSpread = 10.0;
+/// Prony fit gain for the sqrt(t) kernel.
+constexpr double kKernelGain = 0.79;
+
+}  // namespace
+
 Seconds CompactEm::analytic_nucleation_time(const EmMaterialParams& material,
                                             const WireGeometry& wire,
                                             AmpsPerM2 j, Celsius t) {
@@ -23,20 +32,16 @@ Seconds CompactEm::analytic_nucleation_time(const EmMaterialParams& material,
 }
 
 CompactEm::CompactEm(CompactEmParams params) : params_(params) {
-  double tau_mid = params_.tau_ref.value();
-  if (tau_mid <= 0.0) {
-    tau_mid = analytic_nucleation_time(params_.material, params_.wire,
-                                       params_.j_ref, params_.t_ref)
-                  .value();
-  }
+  const double tau_mid = analytic_nucleation_time(params_.material,
+                                                  params_.wire, params_.j_ref,
+                                                  params_.t_ref)
+                              .value();
   DH_REQUIRE(tau_mid > 0.0, "reference timescale must be positive");
-  taus_ = {tau_mid / params_.tau_spread, tau_mid,
-           tau_mid * params_.tau_spread};
+  taus_ = {tau_mid / kTauSpread, tau_mid, tau_mid * kTauSpread};
   // Each pool saturates to 2*G*sqrt(kappa*tau_k/pi)*gain; we store the
   // sqrt(tau) factors and apply G*sqrt(kappa) at step time.
   for (std::size_t k = 0; k < taus_.size(); ++k) {
-    gains_[k] = 2.0 * params_.kernel_gain *
-                std::sqrt(taus_[k] / std::numbers::pi);
+    gains_[k] = 2.0 * kKernelGain * std::sqrt(taus_[k] / std::numbers::pi);
   }
   reset();
 }

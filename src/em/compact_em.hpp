@@ -26,14 +26,10 @@ namespace dh::em {
 struct CompactEmParams {
   WireGeometry wire;
   EmMaterialParams material;
-  /// Middle pool time constant; defaults to the analytic nucleation time
-  /// at the reference condition below. <= 0 means "derive at
-  /// construction".
-  Seconds tau_ref{-1.0};
+  /// Reference condition: the middle pool's time constant is the analytic
+  /// nucleation time there, and pool kinetics scale from its kappa.
   AmpsPerM2 j_ref{7.96e10};
   Celsius t_ref{230.0};
-  double tau_spread = 10.0;  // ratio between adjacent pool taus
-  double kernel_gain = 0.79; // Prony fit gain for the sqrt(t) kernel
 };
 
 class CompactEm {

@@ -84,7 +84,7 @@ LogicNetlist::LogicNetlist(GateParams params) : params_(params) {
 GateId LogicNetlist::add_input(std::string name, double p_one) {
   DH_REQUIRE(p_one >= 0.0 && p_one <= 1.0, "p_one must be a probability");
   Gate g{GateKind::kInput, 0, 0, std::move(name), p_one,
-         device::CompactBti{params_.bti}, device::CompactBti{params_.bti}};
+         device::CompactBti{}, device::CompactBti{}};
   gates_.push_back(std::move(g));
   inputs_.push_back(gates_.size() - 1);
   return gates_.size() - 1;
@@ -95,8 +95,7 @@ GateId LogicNetlist::add_gate(GateKind kind, GateId a) {
              "single-input overload is for BUF/INV");
   DH_REQUIRE(a < gates_.size(), "fanin out of range");
   gates_.push_back(Gate{kind, a, a, to_string(kind), 0.5,
-                        device::CompactBti{params_.bti},
-                        device::CompactBti{params_.bti}});
+                        device::CompactBti{}, device::CompactBti{}});
   return gates_.size() - 1;
 }
 
@@ -104,8 +103,7 @@ GateId LogicNetlist::add_gate(GateKind kind, GateId a, GateId b) {
   DH_REQUIRE(is_two_input(kind), "two-input overload for 2-input gates");
   DH_REQUIRE(a < gates_.size() && b < gates_.size(), "fanin out of range");
   gates_.push_back(Gate{kind, a, b, to_string(kind), 0.5,
-                        device::CompactBti{params_.bti},
-                        device::CompactBti{params_.bti}});
+                        device::CompactBti{}, device::CompactBti{}});
   return gates_.size() - 1;
 }
 

@@ -33,7 +33,6 @@ struct GateParams {
   double alpha = 1.3;
   Seconds base_delay{20e-12};  // fresh gate delay
   Volts recovery_bias{-0.3};
-  device::CompactBtiParams bti{};
 };
 
 /// What the logic block spends a time slice doing.
@@ -53,7 +52,6 @@ class LogicNetlist {
   [[nodiscard]] GateId add_gate(GateKind kind, GateId a);  // BUF/INV
   [[nodiscard]] GateId add_gate(GateKind kind, GateId a, GateId b);
 
-  [[nodiscard]] std::size_t gate_count() const { return gates_.size(); }
   [[nodiscard]] std::size_t input_count() const { return inputs_.size(); }
 
   /// Signal probability of each node under independent-input assumption.

@@ -55,11 +55,6 @@ void AgingPdn::step(std::span<const double> load_amps, Celsius temperature,
   elapsed_s_ += dt.value();
 }
 
-const em::CompactEm& AgingPdn::segment_state(std::size_t i) const {
-  DH_REQUIRE(i < segment_em_.size(), "segment index out of range");
-  return segment_em_[i];
-}
-
 AgingPdnStats AgingPdn::stats() const {
   AgingPdnStats st;
   st.worst_drop_v = last_.worst_drop_v;

@@ -40,7 +40,6 @@ class AgingPdn {
 
   [[nodiscard]] const PdnGrid& grid() const { return grid_; }
   [[nodiscard]] const PdnSolution& last_solution() const { return last_; }
-  [[nodiscard]] const em::CompactEm& segment_state(std::size_t i) const;
   [[nodiscard]] AgingPdnStats stats() const;
   [[nodiscard]] Seconds elapsed() const { return Seconds{elapsed_s_}; }
 

@@ -22,6 +22,13 @@ const char* to_string(CoreAction a) {
 
 namespace {
 
+/// Gate bias the assist circuitry applies in kBtiActiveRecovery.
+constexpr Volts kActiveRecoveryBias{-0.30};
+/// Leakage power at kLeakageTRef, growing one e-fold per kLeakageTEfoldK.
+constexpr Watts kLeakageRef{0.20};
+constexpr Celsius kLeakageTRef{45.0};
+constexpr double kLeakageTEfoldK = 30.0;
+
 void require_utilization(double utilization) {
   DH_REQUIRE(utilization >= 0.0 && utilization <= 1.0,
              "utilization must be in [0,1]");
@@ -30,7 +37,7 @@ void require_utilization(double utilization) {
 }  // namespace
 
 Core::Core(CoreParams params)
-    : params_(params), bti_(params.bti), ro_(params.ro) {}
+    : params_(params), ro_(params.ro) {}
 
 std::size_t Core::quantum_jobs(CoreAction action, double utilization,
                                Celsius temperature, Seconds dt,
@@ -54,7 +61,7 @@ std::size_t Core::quantum_jobs(CoreAction action, double utilization,
       jobs[n++] = {&bti_, {Volts{0.0}, temperature}, dt};
       break;
     case CoreAction::kBtiActiveRecovery:
-      jobs[n++] = {&bti_, {params_.active_recovery_bias, temperature}, dt};
+      jobs[n++] = {&bti_, {kActiveRecoveryBias, temperature}, dt};
       break;
   }
   return n;
@@ -63,6 +70,9 @@ std::size_t Core::quantum_jobs(CoreAction action, double utilization,
 void Core::step(CoreAction action, double utilization, Celsius temperature,
                 Seconds dt) {
   require_utilization(utilization);
+  // kRun's intervals are dt*u and dt*(1-u), which skip a negative or NaN
+  // dt silently; the check makes every action reject it.
+  device::CompactBti::require_valid_dt(dt);
   std::array<device::BtiJob, 2> jobs{};
   const std::size_t n = quantum_jobs(action, utilization, temperature, dt,
                                      jobs);
@@ -121,13 +131,12 @@ Watts Core::power(CoreAction action, double utilization,
   // throttle (and the exponential alone would make the thermal solve
   // diverge in pathological configurations).
   const double leak_scale = std::min(
-      8.0, std::exp((temperature.value() - params_.leakage_t_ref.value()) /
-                    params_.leakage_t_efold_k));
+      8.0, std::exp((temperature.value() - kLeakageTRef.value()) /
+                    kLeakageTEfoldK));
   // BTI raises Vth, which suppresses subthreshold leakage slightly.
   const double vth_scale =
       std::exp(-bti_.delta_vth().value() / 0.050);
-  const double leak =
-      params_.leakage_ref.value() * leak_scale * vth_scale;
+  const double leak = kLeakageRef.value() * leak_scale * vth_scale;
   switch (action) {
     case CoreAction::kRun:
       return Watts{params_.dynamic_power_peak.value() * utilization + leak};

@@ -23,7 +23,6 @@ enum class CoreAction {
 
 struct CoreParams {
   Volts vdd{0.90};
-  Volts active_recovery_bias{-0.30};  // from the assist circuitry
   device::RingOscillatorParams ro{
       .stages = 75,
       .vdd = Volts{0.90},
@@ -32,17 +31,14 @@ struct CoreParams {
       .fresh_frequency = Hertz{2.0e9},
   };
   Watts dynamic_power_peak{1.2};  // at utilization 1
-  Watts leakage_ref{0.20};
-  Celsius leakage_t_ref{45.0};
-  double leakage_t_efold_k = 30.0;  // leakage e-folds per 30 K
-  device::CompactBtiParams bti{};
 };
 
 class Core {
  public:
   explicit Core(CoreParams params);
 
-  /// Advance one scheduling quantum. `utilization` applies to kRun.
+  /// Advance one scheduling quantum. `utilization` applies to kRun. `dt`
+  /// must pass CompactBti::require_valid_dt for every action.
   void step(CoreAction action, double utilization, Celsius temperature,
             Seconds dt);
 

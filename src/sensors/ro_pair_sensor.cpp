@@ -8,11 +8,7 @@
 namespace dh::sensors {
 
 RoPairSensor::RoPairSensor(RoPairSensorParams params, Rng rng)
-    : params_(params),
-      ro_(params.ro),
-      stressed_(params.bti),
-      reference_(params.bti),
-      rng_(rng) {
+    : params_(params), ro_(params.ro), rng_(rng) {
   DH_REQUIRE(params_.gate_time.value() > 0.0,
              "counter gate time must be positive");
 }

@@ -18,7 +18,6 @@ namespace dh::sensors {
 
 struct RoPairSensorParams {
   device::RingOscillatorParams ro{};
-  device::CompactBtiParams bti{};
   Seconds gate_time{0.01};        // counter gate (quantization)
   double relative_noise = 1e-4;   // residual mismatch noise
   Volts recovery_bias{-0.3};      // reference RO healing bias

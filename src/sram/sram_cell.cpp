@@ -9,10 +9,7 @@
 
 namespace dh::sram {
 
-SramCell::SramCell(SramCellParams params)
-    : params_(params),
-      left_pmos_(params.bti),
-      right_pmos_(params.bti) {
+SramCell::SramCell(SramCellParams params) : params_(params) {
   DH_REQUIRE(params_.vdd.value() > params_.pmos_vth,
              "supply must exceed the PMOS threshold");
 }

@@ -25,7 +25,6 @@ struct SramCellParams {
   double pmos_beta = 0.8e-4;   // weak pull-ups (standard 6T ratioing)
   double nmos_beta = 2.0e-4;   // strong pull-downs
   Volts recovery_bias{-0.3};   // assist/boost bias for PMOS recovery
-  device::CompactBtiParams bti{};
 };
 
 /// What the cell spends a time slice doing.

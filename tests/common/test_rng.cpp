@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <vector>
 
 namespace dh {
@@ -60,6 +61,23 @@ TEST(Rng, NormalMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 3.0, 0.06);
   EXPECT_NEAR(var, 4.0, 0.2);
+}
+
+TEST(Rng, NormalScalesOneStandardDraw) {
+  // Sigma 0 is allowed (callers switch noise off with it): it returns the
+  // mean and advances the engine exactly as a sigma > 0 draw does.
+  Rng zero{21};
+  Rng two{21};
+  EXPECT_EQ(zero.normal(5.0, 0.0), 5.0);
+  (void)two.normal(5.0, 2.0);
+  EXPECT_TRUE(zero.engine() == two.engine());
+  // A sigma > 0 draw is std::normal_distribution's, bit for bit.
+  Rng r{22};
+  std::mt19937_64 e{22};
+  for (int i = 0; i < 100; ++i) {
+    const double expected = std::normal_distribution<double>{3.0, 2.0}(e);
+    EXPECT_EQ(r.normal(3.0, 2.0), expected);
+  }
 }
 
 TEST(Rng, LognormalIsPositive) {

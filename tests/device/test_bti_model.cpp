@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "device/calibration.hpp"
 
@@ -87,6 +89,41 @@ TEST(BtiModel, StressRecoveryHelperValidatesInput) {
                                    hours(1.0),
                                    paper_conditions::recovery_no4(),
                                    hours(1.0)),
+               Error);
+}
+
+TEST(BtiModel, RejectsNonFiniteOrOversizedDt) {
+  // An infinite step used to leave a NaN shift, and a huge one overflowed
+  // the permanent component's int substep count (undefined behaviour).
+  auto model = BtiModel::paper_calibrated();
+  model.apply(paper_conditions::accelerated_stress(), hours(2.0));
+  const BtiBreakdown before = model.breakdown();
+  const auto check_unchanged = [&](double dt) {
+    const BtiBreakdown now = model.breakdown();
+    EXPECT_EQ(now.recoverable.value(), before.recoverable.value()) << dt;
+    EXPECT_EQ(now.unlocked.value(), before.unlocked.value()) << dt;
+    EXPECT_EQ(now.locked.value(), before.locked.value()) << dt;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double dt : {kInf, -kInf,
+                          std::numeric_limits<double>::quiet_NaN(), 1e13}) {
+    EXPECT_THROW(model.apply(paper_conditions::accelerated_stress(),
+                             Seconds{dt}),
+                 Error)
+        << dt;
+    check_unchanged(dt);
+    EXPECT_THROW(model.apply(paper_conditions::recovery_no4(), Seconds{dt}),
+                 Error)
+        << dt;
+    check_unchanged(dt);
+  }
+  // The bound is the 60 s substep counter's range. Recovery is closed
+  // form, so the longest accepted step is cheap to apply.
+  const double max_substeps = std::numeric_limits<int>::max();
+  EXPECT_NO_THROW(model.apply(paper_conditions::recovery_no4(),
+                              Seconds{60.0 * max_substeps}));
+  EXPECT_THROW(model.apply(paper_conditions::recovery_no4(),
+                           Seconds{60.0 * (max_substeps + 1.0)}),
                Error);
 }
 

@@ -189,6 +189,23 @@ TEST(CoreModel, StepAllRejectsBadInputWithoutMutating) {
   check_unchanged();
 }
 
+TEST(CoreModel, StepRejectsBadDtForEveryActionWithoutMutating) {
+  // kRun used to skip a negative or NaN dt silently (both of its
+  // intervals failed their > 0 tests) while the other actions threw.
+  Core c = make_core();
+  c.step(CoreAction::kRun, 0.5, Celsius{85.0}, hours(6.0));
+  const auto before = state_bytes(c);
+  for (const CoreAction a : {CoreAction::kRun, CoreAction::kIdle,
+                             CoreAction::kBtiActiveRecovery}) {
+    for (const double dt : {-3600.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+      EXPECT_THROW(c.step(a, 0.5, Celsius{85.0}, Seconds{dt}), dh::Error)
+          << to_string(a) << " dt=" << dt;
+      EXPECT_EQ(state_bytes(c), before) << to_string(a) << " dt=" << dt;
+    }
+  }
+}
+
 TEST(CoreModel, ActionNames) {
   EXPECT_STREQ(to_string(CoreAction::kRun), "run");
   EXPECT_STREQ(to_string(CoreAction::kIdle), "idle");
