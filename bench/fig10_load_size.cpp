@@ -19,9 +19,7 @@ int main() {
   Table table({"load size", "normalized delay", "switching time (ns)",
                "normalized switching"});
   for (int n = 1; n <= 5; ++n) {
-    AssistCircuitParams p;
-    p.load_units = n;
-    AssistCircuit assist{p};
+    AssistCircuit assist{n};
     const double delay = assist.normalized_load_delay(AssistMode::kNormal);
     const double tsw = assist
                            .switching_time(AssistMode::kNormal,

@@ -51,19 +51,18 @@ int main() {
     const double blech = j * l.wire.length.value();
     const double crit =
         mat.blech_threshold(l.wire.resistivity_at(to_kelvin(t)));
-    std::string status;
-    std::string tnuc;
-    if (blech < crit) {
-      status = "immortal (Blech)";
-      tnuc = "-";
-    } else {
-      status = "mortal";
+    const bool immortal = blech < crit;
+    // The status literal goes straight into the row: assigning it to a
+    // std::string trips a false GCC 12 -O3 -Wrestrict.
+    std::string tnuc = "-";
+    if (!immortal) {
       const Seconds tn = CompactEm::analytic_nucleation_time(
           mat, l.wire, AmpsPerM2{j}, t);
       tnuc = Table::num(in_years(tn), 1) + " years";
     }
     table.add_row({l.name, Table::num(j / 1e10, 2),
-                   Table::num(blech / crit, 2), status, tnuc});
+                   Table::num(blech / crit, 2),
+                   immortal ? "immortal (Blech)" : "mortal", tnuc});
   }
   table.print(std::cout);
 

@@ -18,7 +18,11 @@ int main() {
   const auto patterns = core::run_fig4(kCycles);
 
   std::vector<std::string> headers{"pattern"};
-  for (int c = 1; c <= kCycles; ++c) headers.push_back("C" + std::to_string(c));
+  for (int c = 1; c <= kCycles; ++c) {
+    // Not `"C" + std::string`: GCC 12 -O3 flags that with a false
+    // -Wrestrict.
+    headers.push_back(std::string{"C"} + std::to_string(c));
+  }
   Table table{headers};
   for (const auto& p : patterns) {
     std::vector<std::string> row{p.label};

@@ -15,7 +15,7 @@ int main() {
 
   std::printf("== Fig. 9: assist circuitry functionality (MNA transient) "
               "==\n\n");
-  AssistCircuit assist{AssistCircuitParams{}};
+  AssistCircuit assist;
 
   // (a) Normal -> EM Active Recovery: grid current reverses, same value.
   std::printf("(a) VDD grid current across the Normal -> EM switch:\n");

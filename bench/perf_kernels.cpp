@@ -211,7 +211,7 @@ void BM_ParallelForOverhead(benchmark::State& state) {
 BENCHMARK(BM_ParallelForOverhead);
 
 void BM_AssistDcSolve(benchmark::State& state) {
-  circuit::AssistCircuit assist{circuit::AssistCircuitParams{}};
+  circuit::AssistCircuit assist;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         assist.solve(circuit::AssistMode::kNormal));

@@ -13,7 +13,7 @@ int main() {
   using namespace dh;
   using namespace dh::circuit;
 
-  AssistCircuit assist{AssistCircuitParams{}};
+  AssistCircuit assist;
 
   std::printf("== Assist circuitry (Fig. 8) operating points ==\n\n");
   Table table({"mode", "load VDD (V)", "load VSS (V)", "grid current (mA)",

@@ -15,7 +15,7 @@ int main() {
   using namespace dh;
   std::printf("== Closed-loop healing: 60 days at 95 C, heavy duty ==\n\n");
 
-  sensors::RoPairSensor bti_sensor{sensors::RoPairSensorParams{}, Rng{11}};
+  sensors::RoPairSensor bti_sensor{Rng{11}};
   sensors::HealthMonitor bti_monitor{
       sensors::HealthMonitorParams{.trip = 0.012, .clear = 0.006}};
   sensors::EmCanaryParams cp;

@@ -21,6 +21,21 @@ const char* to_string(AssistMode mode) {
 
 namespace {
 
+// The circuit's sizing, fitted once to Figs. 9-10.
+constexpr Volts kVdd{1.0};
+constexpr Ohms kVddGrid{1.0};  // local VDD grid, end to end
+constexpr Ohms kVssGrid{1.0};
+constexpr Ohms kLoadActivePerUnit{2000.0};  // activity-equivalent load
+constexpr Ohms kLoadLeakPerUnit{50000.0};   // idle leakage path
+constexpr Farads kGridCap{20e-12};      // per grid end (wire capacitance)
+constexpr Farads kLoadRailCap{10e-12};  // fixed local-rail wire capacitance
+constexpr Farads kLoadCap{0.2e-12};     // per load unit decap
+constexpr double kPassBeta = 24e-3;     // grid header/footer devices
+constexpr double kBtiBeta = 0.10e-3;    // weak BTI cross devices
+constexpr double kVth = 0.30;
+constexpr double kRoAlpha = 1.3;  // alpha-power exponent for delay
+static_assert(kVdd.value() > kVth, "supply must exceed the device threshold");
+
 /// Gate states for the ten devices per mode (true = device ON).
 /// Order: P1 (VDD->gA), P3 (VDD->gB), P2 (gB->loadVdd), P4 (gA->loadVdd),
 ///        N1 (loadVss->hA), N3 (loadVss->hB), N2 (hA->VSS), N4 (hB->VSS),
@@ -49,10 +64,8 @@ struct AssistCircuit::Built {
   VsourceId ammeter;  // 0 V source in series with the VDD grid
 };
 
-AssistCircuit::AssistCircuit(AssistCircuitParams params) : params_(params) {
-  DH_REQUIRE(params_.load_units >= 1, "need at least one load unit");
-  DH_REQUIRE(params_.vdd.value() > params_.vth,
-             "supply must exceed the device threshold");
+AssistCircuit::AssistCircuit(int load_units) : load_units_(load_units) {
+  DH_REQUIRE(load_units_ >= 1, "need at least one load unit");
 }
 
 AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
@@ -69,20 +82,20 @@ AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
   b.load_vdd = c.add_node("loadVdd");
   b.load_vss = c.add_node("loadVss");
 
-  const double vdd = params_.vdd.value();
+  const double vdd = kVdd.value();
   (void)c.add_voltage_source(b.vdd, Circuit::ground(), Waveform::dc(vdd));
 
   // VDD grid with a 0 V ammeter in series (gA -> gMid -> gB).
   b.ammeter = c.add_voltage_source(b.ga, b.gmid, Waveform::dc(0.0));
-  c.add_resistor(b.gmid, b.gb, params_.vdd_grid);
+  c.add_resistor(b.gmid, b.gb, kVddGrid);
   // VSS grid.
-  c.add_resistor(b.ha, b.hb, params_.vss_grid);
+  c.add_resistor(b.ha, b.hb, kVssGrid);
 
   // Grid wire capacitance (needed for the switching-time study).
-  c.add_capacitor(b.ga, Circuit::ground(), params_.grid_cap);
-  c.add_capacitor(b.gb, Circuit::ground(), params_.grid_cap);
-  c.add_capacitor(b.ha, Circuit::ground(), params_.grid_cap);
-  c.add_capacitor(b.hb, Circuit::ground(), params_.grid_cap);
+  c.add_capacitor(b.ga, Circuit::ground(), kGridCap);
+  c.add_capacitor(b.gb, Circuit::ground(), kGridCap);
+  c.add_capacitor(b.ha, Circuit::ground(), kGridCap);
+  c.add_capacitor(b.hb, Circuit::ground(), kGridCap);
 
   // Pass devices. Gate drives are step waveforms when simulating a mode
   // transition, DC otherwise.
@@ -90,14 +103,14 @@ AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
   const auto to_states = gate_states(to_mode);
   MosfetParams pfet;
   pfet.polarity = MosPolarity::kPmos;
-  pfet.vth = params_.vth;
-  pfet.beta = params_.pass_beta;
+  pfet.vth = kVth;
+  pfet.beta = kPassBeta;
   MosfetParams nfet = pfet;
   nfet.polarity = MosPolarity::kNmos;
   MosfetParams p_bti = pfet;
-  p_bti.beta = params_.bti_beta;
+  p_bti.beta = kBtiBeta;
   MosfetParams n_bti = nfet;
-  n_bti.beta = params_.bti_beta;
+  n_bti.beta = kBtiBeta;
 
   // Device table: {params, drain, source, on-gate-voltage, off-gate-voltage}.
   struct Dev {
@@ -131,21 +144,21 @@ AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
   }
 
   // Load bank.
-  const int n = params_.load_units;
+  const int n = load_units_;
   const bool active_from = dc_mode != AssistMode::kBtiActiveRecovery;
   const bool active_to = to_mode != AssistMode::kBtiActiveRecovery;
-  c.add_capacitor(b.load_vdd, Circuit::ground(), params_.load_rail_cap);
-  c.add_capacitor(b.load_vss, Circuit::ground(), params_.load_rail_cap);
+  c.add_capacitor(b.load_vdd, Circuit::ground(), kLoadRailCap);
+  c.add_capacitor(b.load_vss, Circuit::ground(), kLoadRailCap);
   for (int u = 0; u < n; ++u) {
-    c.add_resistor(b.load_vdd, b.load_vss, params_.load_leak_per_unit);
-    c.add_capacitor(b.load_vdd, b.load_vss, params_.load_cap);
+    c.add_resistor(b.load_vdd, b.load_vss, kLoadLeakPerUnit);
+    c.add_capacitor(b.load_vdd, b.load_vss, kLoadCap);
   }
   // Activity-equivalent load: present while the load operates. For a
   // transition involving BTI mode the activity stops/starts with the
   // switch; we approximate with a switch element driven by the mode.
   if (active_from || active_to) {
     const double r_act =
-        params_.load_active_per_unit.value() / static_cast<double>(n);
+        kLoadActivePerUnit.value() / static_cast<double>(n);
     if (active_from && active_to) {
       c.add_resistor(b.load_vdd, b.load_vss, Ohms{r_act});
     } else {
@@ -155,18 +168,17 @@ AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
       // current-free gate is unnecessary; instead approximate with the
       // 'from' state for DC and accept the step for transient studies.
       const NodeId act = c.add_node("act_gate");
-      const double on_v = params_.vdd.value();
       const Waveform w =
           transient
-              ? Waveform::step(active_from ? on_v : 0.0,
-                               active_to ? on_v : 0.0, t_switch, 2e-10)
-              : Waveform::dc(active_from ? on_v : 0.0);
+              ? Waveform::step(active_from ? vdd : 0.0,
+                               active_to ? vdd : 0.0, t_switch, 2e-10)
+              : Waveform::dc(active_from ? vdd : 0.0);
       (void)c.add_voltage_source(act, Circuit::ground(), w);
       MosfetParams act_fet;
       act_fet.polarity = MosPolarity::kNmos;
-      act_fet.vth = params_.vth;
+      act_fet.vth = kVth;
       // Sized so the on-resistance matches the activity load.
-      act_fet.beta = 1.0 / (r_act * (params_.vdd.value() - params_.vth));
+      act_fet.beta = 1.0 / (r_act * (vdd - kVth));
       c.add_mosfet(act_fet, act, b.load_vdd, b.load_vss);
     }
   }
@@ -235,12 +247,11 @@ Seconds AssistCircuit::switching_time(AssistMode from, AssistMode to,
 double AssistCircuit::normalized_load_delay(AssistMode mode) const {
   const AssistOperating op = solve(mode);
   const double v_eff = op.effective_supply();
-  const double vdd = params_.vdd.value();
-  DH_REQUIRE(v_eff > params_.vth,
+  const double vdd = kVdd.value();
+  DH_REQUIRE(v_eff > kVth,
              "load supply collapsed below threshold — resize the headers");
-  const double a = params_.ro_alpha;
-  const double d_ideal = vdd / std::pow(vdd - params_.vth, a);
-  const double d_eff = v_eff / std::pow(v_eff - params_.vth, a);
+  const double d_ideal = vdd / std::pow(vdd - kVth, kRoAlpha);
+  const double d_eff = v_eff / std::pow(v_eff - kVth, kRoAlpha);
   return d_eff / d_ideal;
 }
 

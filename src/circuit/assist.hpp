@@ -28,22 +28,6 @@ enum class AssistMode { kNormal, kEmActiveRecovery, kBtiActiveRecovery };
 
 [[nodiscard]] const char* to_string(AssistMode mode);
 
-struct AssistCircuitParams {
-  Volts vdd{1.0};
-  Ohms vdd_grid{1.0};            // local VDD grid, end to end
-  Ohms vss_grid{1.0};
-  int load_units = 1;
-  Ohms load_active_per_unit{2000.0};  // activity-equivalent load
-  Ohms load_leak_per_unit{50000.0};   // idle leakage path
-  Farads grid_cap{20e-12};            // per grid end (wire capacitance)
-  Farads load_rail_cap{10e-12};       // fixed local-rail wire capacitance
-  Farads load_cap{0.2e-12};           // per load unit decap
-  double pass_beta = 24e-3;           // grid header/footer devices
-  double bti_beta = 0.10e-3;          // weak BTI cross devices
-  double vth = 0.30;
-  double ro_alpha = 1.3;              // alpha-power exponent for delay
-};
-
 /// DC operating point summary of the assist circuitry in one mode.
 struct AssistOperating {
   AssistMode mode;
@@ -58,7 +42,9 @@ struct AssistOperating {
 
 class AssistCircuit {
  public:
-  explicit AssistCircuit(AssistCircuitParams params);
+  /// A bank of `load_units` (>= 1) identical load units; the rest of the
+  /// sizing is fixed (assist.cpp).
+  explicit AssistCircuit(int load_units = 1);
 
   /// DC operating point in the given mode (load active in Normal/EM,
   /// idle in BTI recovery).
@@ -84,14 +70,12 @@ class AssistCircuit {
   /// needed).
   [[nodiscard]] Volts bti_recovery_bias() const;
 
-  [[nodiscard]] const AssistCircuitParams& params() const { return params_; }
-
  private:
   struct Built;
   [[nodiscard]] Built build(AssistMode dc_mode, bool transient,
                             AssistMode to_mode, double t_switch) const;
 
-  AssistCircuitParams params_;
+  int load_units_;
 };
 
 }  // namespace dh::circuit

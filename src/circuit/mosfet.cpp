@@ -7,11 +7,13 @@
 
 namespace dh::circuit {
 
-double MosfetParams::thermal_voltage() const {
-  return constants::kBoltzmannEv * (temp_c + kCelsiusOffset);
-}
-
 namespace {
+
+constexpr double kLambda = 0.05;  // channel-length modulation, 1/V
+constexpr double kN = 1.4;        // subthreshold slope factor
+/// Thermal voltage kT/q at the device temperature, 27 C.
+constexpr double kThermalVoltage =
+    constants::kBoltzmannEv * (27.0 + kCelsiusOffset);
 
 /// EKV interpolation function F(u) = ln^2(1 + e^{u/2}) and its derivative.
 struct FEval {
@@ -44,17 +46,17 @@ struct NmosFrame {
 
 /// Drain current in the canonical NMOS frame (vds >= 0).
 NmosFrame nmos_current(const MosfetParams& p, double vgs, double vds) {
-  const double vt = p.thermal_voltage();
-  const double nvt = p.n * vt;
-  const double is = 2.0 * p.n * vt * vt * p.beta;
+  const double vt = kThermalVoltage;
+  const double nvt = kN * vt;
+  const double is = 2.0 * kN * vt * vt * p.beta;
   const FEval ff = ekv_f((vgs - p.vth) / nvt);
-  const FEval fr = ekv_f((vgs - p.vth - p.n * vds) / nvt);
-  const double clm = 1.0 + p.lambda * vds;
+  const FEval fr = ekv_f((vgs - p.vth - kN * vds) / nvt);
+  const double clm = 1.0 + kLambda * vds;
   const double i0 = is * (ff.f - fr.f);
   NmosFrame out;
   out.i = i0 * clm;
   out.di_vgs = is * (ff.df - fr.df) / nvt * clm;
-  out.di_vds = is * fr.df / vt * clm + i0 * p.lambda;
+  out.di_vds = is * fr.df / vt * clm + i0 * kLambda;
   return out;
 }
 

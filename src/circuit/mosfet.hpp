@@ -1,7 +1,8 @@
 // EKV-flavoured MOSFET model: a single smooth expression covering weak
 // inversion, triode, and saturation — chosen for Newton-Raphson
 // robustness. Strong-inversion saturation reduces to the familiar
-// (beta/2)*(Vgs-Vth)^2*(1+lambda*Vds).
+// (beta/2)*(Vgs-Vth)^2*(1+lambda*Vds). Every device shares the slope
+// factor, lambda and temperature (27 C) set in mosfet.cpp.
 #pragma once
 
 #include "common/units.hpp"
@@ -14,11 +15,6 @@ struct MosfetParams {
   MosPolarity polarity = MosPolarity::kNmos;
   double vth = 0.30;        // threshold voltage (magnitude), V
   double beta = 2e-3;       // transconductance factor kp*W/L, A/V^2
-  double lambda = 0.05;     // channel-length modulation, 1/V
-  double n = 1.4;           // subthreshold slope factor
-  double temp_c = 27.0;     // device temperature (sets VT)
-
-  [[nodiscard]] double thermal_voltage() const;
 };
 
 /// Drain current and its partial derivatives w.r.t. each terminal

@@ -25,8 +25,7 @@ std::array<Table1Row, 4> run_table1(std::uint64_t seed) {
     auto measured_model = BtiModel::paper_calibrated();
     RingOscillatorParams rop;
     rop.vdd = Volts{1.1};
-    BtiSensor sensor{RingOscillator{rop}, BtiSensorParams{},
-                     Rng{seed + j}};
+    BtiSensor sensor{RingOscillator{rop}, Rng{seed + j}};
     measured_model.apply(stress, table1_stress_time());
     const Volts dv_stress = sensor.measure_delta_vth(measured_model);
     measured_model.apply(targets[j].condition, table1_recovery_time());
@@ -83,7 +82,7 @@ namespace {
 struct EmRun {
   em::KorhonenSolver solver{em::paper_wire(),
                             em::paper_calibrated_em_material()};
-  em::EmSensor sensor{em::EmSensorParams{}, Rng{99}};
+  em::EmSensor sensor{Rng{99}};
   EmExperimentResult result;
   Celsius chamber = em::paper_em_conditions::chamber();
 

@@ -2,24 +2,25 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
-
 namespace dh::device {
 
-BtiSensor::BtiSensor(RingOscillator ro, BtiSensorParams params, Rng rng)
-    : ro_(ro), params_(params), rng_(rng) {
-  DH_REQUIRE(params_.gate_time.value() > 0.0,
-             "counter gate time must be positive");
-  DH_REQUIRE(params_.relative_noise >= 0.0, "noise must be non-negative");
-}
+namespace {
+
+constexpr double kGateTimeS = 0.1;       // counter gate
+constexpr double kRelativeNoise = 2e-4;  // supply/temperature-induced jitter
+static_assert(kGateTimeS > 0.0 && kRelativeNoise >= 0.0,
+              "gate time must be positive and noise non-negative");
+
+}  // namespace
+
+BtiSensor::BtiSensor(RingOscillator ro, Rng rng) : ro_(ro), rng_(rng) {}
 
 Hertz BtiSensor::measure_frequency(const BtiModel& device) {
   const double truth =
       ro_.frequency(device.delta_vth(), device.mobility_factor()).value();
-  const double noisy =
-      truth * (1.0 + rng_.normal(0.0, params_.relative_noise));
+  const double noisy = truth * (1.0 + rng_.normal(0.0, kRelativeNoise));
   // Counter quantization: counts within one gate period.
-  const double resolution = 1.0 / params_.gate_time.value();
+  const double resolution = 1.0 / kGateTimeS;
   const double quantized = std::round(noisy / resolution) * resolution;
   return Hertz{quantized};
 }

@@ -11,14 +11,11 @@
 
 namespace dh::device {
 
-struct BtiSensorParams {
-  Seconds gate_time{0.1};          // counter gate: resolution = 1/gate_time
-  double relative_noise = 2e-4;    // supply/temperature-induced jitter
-};
-
 class BtiSensor {
  public:
-  BtiSensor(RingOscillator ro, BtiSensorParams params, Rng rng);
+  /// A counter with a 0.1 s gate (10 Hz resolution) and 2e-4 relative
+  /// supply/temperature jitter.
+  BtiSensor(RingOscillator ro, Rng rng);
 
   /// One frequency measurement of a device in the given BTI state.
   [[nodiscard]] Hertz measure_frequency(const BtiModel& device);
@@ -30,7 +27,6 @@ class BtiSensor {
 
  private:
   RingOscillator ro_;
-  BtiSensorParams params_;
   Rng rng_;
 };
 

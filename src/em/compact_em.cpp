@@ -56,7 +56,10 @@ void CompactEm::reset() {
 }
 
 void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
-  DH_REQUIRE(dt.value() >= 0.0, "time step must be non-negative");
+  // An infinite step would make the void length NaN, which no break test
+  // catches.
+  DH_REQUIRE(std::isfinite(dt.value()) && dt.value() >= 0.0,
+             "time step must be finite and non-negative");
   if (dt.value() == 0.0 || broken_) return;
   const Kelvin t = to_kelvin(temperature);
   const double kappa = params_.material.kappa(t);
@@ -94,8 +97,7 @@ void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
     // Growth feeds the slit with partial efficiency; healing refills it at
     // full efficiency (same physics as the PDE solver).
     void_mobile_m_ +=
-        rate * (rate > 0.0 ? params_.material.slit_efficiency : 1.0) *
-        dt.value();
+        rate * (rate > 0.0 ? kSlitEfficiency : 1.0) * dt.value();
     const double fix = params_.material.fix_rate(t);
     const double converted =
         void_mobile_m_ * (1.0 - std::exp(-fix * dt.value()));
@@ -108,8 +110,7 @@ void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
       void_open_ = false;
       void_polarity_ = 0;
     }
-    if (void_mobile_m_ + void_fixed_m_ >=
-        params_.material.break_void_length.value()) {
+    if (void_mobile_m_ + void_fixed_m_ >= kBreakVoidLengthM) {
       broken_ = true;
     }
   }

@@ -36,6 +36,8 @@ class CompactEm {
  public:
   explicit CompactEm(CompactEmParams params);
 
+  /// `dt` must be finite and non-negative; a rejected step changes
+  /// nothing.
   void step(AmpsPerM2 j, Celsius temperature, Seconds dt);
   void reset();
 

@@ -2,21 +2,21 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
-
 namespace dh::em {
 
-EmSensor::EmSensor(EmSensorParams params, Rng rng)
-    : params_(params), rng_(rng) {
-  DH_REQUIRE(params_.resolution.value() > 0.0,
-             "meter resolution must be positive");
-}
+namespace {
+
+constexpr double kRelativeNoise = 5e-4;  // contact/thermal noise
+constexpr double kResolutionOhm = 0.01;  // meter quantization
+static_assert(kResolutionOhm > 0.0, "meter resolution must be positive");
+
+}  // namespace
+
+EmSensor::EmSensor(Rng rng) : rng_(rng) {}
 
 Ohms EmSensor::measure(Ohms r) {
-  const double noisy =
-      r.value() * (1.0 + rng_.normal(0.0, params_.relative_noise));
-  const double q = params_.resolution.value();
-  return Ohms{std::round(noisy / q) * q};
+  const double noisy = r.value() * (1.0 + rng_.normal(0.0, kRelativeNoise));
+  return Ohms{std::round(noisy / kResolutionOhm) * kResolutionOhm};
 }
 
 }  // namespace dh::em

@@ -7,20 +7,16 @@
 
 namespace dh::em {
 
-struct EmSensorParams {
-  double relative_noise = 5e-4;   // contact/thermal noise
-  Ohms resolution{0.01};          // meter quantization
-};
-
 class EmSensor {
  public:
-  EmSensor(EmSensorParams params, Rng rng);
+  /// A meter with 5e-4 relative contact/thermal noise and 0.01 Ohm
+  /// quantization.
+  explicit EmSensor(Rng rng);
 
   /// One resistance measurement of a wire whose true resistance is `r`.
   [[nodiscard]] Ohms measure(Ohms r);
 
  private:
-  EmSensorParams params_;
   Rng rng_;
 };
 

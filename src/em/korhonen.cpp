@@ -9,15 +9,29 @@
 
 namespace dh::em {
 
-KorhonenSolver::KorhonenSolver(WireGeometry wire, EmMaterialParams material,
-                               KorhonenGridParams grid)
-    : wire_(wire), material_(material), grid_params_(grid) {
-  DH_REQUIRE(grid.first_cell.value() > 0.0 &&
-                 grid.first_cell.value() < wire.length.value() / 4.0,
-             "first grid cell must be positive and much shorter than the wire");
+namespace {
+
+// The grid: the first cell at each end and the growth ratio between
+// neighbouring cells toward the middle.
+constexpr double kFirstCellM = 0.2e-6;
+constexpr double kStretchRatio = 1.3;
+/// Longest backward-Euler substep.
+constexpr double kMaxSubstepS = 30.0;
+/// Current-crowding thermal resistance at the void constriction (K/W):
+/// the liner shunt dissipates I^2*dR locally and raises the local
+/// diffusivity — the second reason recovery under reverse current is
+/// fast (and a real effect in Cu interconnect healing experiments).
+constexpr double kVoidCrowdingThetaKPerW = 1550.0;
+
+}  // namespace
+
+KorhonenSolver::KorhonenSolver(WireGeometry wire, EmMaterialParams material)
+    : wire_(wire), material_(material) {
+  DH_REQUIRE(kFirstCellM < wire.length.value() / 4.0,
+             "first grid cell must be much shorter than the wire");
   const double half = wire_.length.value() / 2.0;
-  const auto left = math::stretched_grid(0.0, half, grid.first_cell.value(),
-                                         grid.stretch_ratio);
+  const auto left =
+      math::stretched_grid(0.0, half, kFirstCellM, kStretchRatio);
   // Mirror onto the right half so both ends are finely resolved.
   x_ = left;
   for (std::size_t i = left.size() - 1; i-- > 0;) {
@@ -39,16 +53,17 @@ KorhonenSolver::KorhonenSolver(WireGeometry wire, EmMaterialParams material,
 }
 
 void KorhonenSolver::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
-  DH_REQUIRE(dt.value() >= 0.0, "time step must be non-negative");
+  // An infinite step would substep until the wire breaks, or forever.
+  DH_REQUIRE(std::isfinite(dt.value()) && dt.value() >= 0.0,
+             "time step must be finite and non-negative");
   if (broken_) {
     elapsed_s_ += dt.value();
     return;
   }
   const Kelvin t = to_kelvin(temperature);
   double remaining = dt.value();
-  const double h_max = grid_params_.max_substep.value();
   while (remaining > 0.0 && !broken_) {
-    const double h = std::min(remaining, h_max);
+    const double h = std::min(remaining, kMaxSubstepS);
     substep(j, t, h);
     remaining -= h;
   }
@@ -116,15 +131,13 @@ void KorhonenSolver::substep(AmpsPerM2 j, Kelvin t, double dt) {
     const double dr_void = wire_.liner_ohm_per_m * v.total_m();
     const double p_local =
         current.value() * current.value() * dr_void;
-    const Kelvin t_local{t.value() +
-                         material_.void_crowding_theta_k_per_w * p_local};
+    const Kelvin t_local{t.value() + kVoidCrowdingThetaKPerW * p_local};
     const double heat_boost =
         material_.diffusivity(t_local) / material_.diffusivity(t);
-    const double rate = signed_flux * heat_boost / material_.bulk_modulus_pa;
+    const double rate = signed_flux * heat_boost / kBulkModulusPa;
     // Growth feeds the slit with partial efficiency; healing refills the
     // slit at full efficiency.
-    v.mobile_len_m +=
-        rate * (rate > 0.0 ? material_.slit_efficiency : 1.0) * dt;
+    v.mobile_len_m += rate * (rate > 0.0 ? kSlitEfficiency : 1.0) * dt;
     // First-order immobilization of the healable length.
     const double converted = v.mobile_len_m * (1.0 - std::exp(-fix * dt));
     if (converted > 0.0) {
@@ -144,7 +157,7 @@ void KorhonenSolver::substep(AmpsPerM2 j, Kelvin t, double dt) {
   maybe_nucleate(WireEnd::kStart);
   maybe_nucleate(WireEnd::kEnd);
 
-  if (total_void_length().value() >= material_.break_void_length.value()) {
+  if (total_void_length().value() >= kBreakVoidLengthM) {
     broken_ = true;
   }
   elapsed_s_ += dt;

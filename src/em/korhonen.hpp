@@ -48,19 +48,15 @@ struct VoidState {
   [[nodiscard]] double total_m() const { return mobile_len_m + fixed_len_m; }
 };
 
-struct KorhonenGridParams {
-  Meters first_cell{0.2e-6};
-  double stretch_ratio = 1.3;
-  Seconds max_substep{30.0};
-};
-
 class KorhonenSolver {
  public:
-  KorhonenSolver(WireGeometry wire, EmMaterialParams material,
-                 KorhonenGridParams grid = {});
+  /// The wire must be longer than four of the grid's first cells
+  /// (0.2 um, korhonen.cpp).
+  KorhonenSolver(WireGeometry wire, EmMaterialParams material);
 
-  /// Advance by `dt` under current density `j` (sign = direction) at the
-  /// given chamber/line temperature. Internally substeps.
+  /// Advance by `dt` (finite, non-negative) under current density `j`
+  /// (sign = direction) at the given chamber/line temperature.
+  /// Internally substeps.
   void step(AmpsPerM2 j, Celsius temperature, Seconds dt);
 
   /// Wire resistance at measurement temperature `t`, including liner
@@ -90,7 +86,6 @@ class KorhonenSolver {
 
   WireGeometry wire_;
   EmMaterialParams material_;
-  KorhonenGridParams grid_params_;
   std::vector<double> x_;       // node coordinates
   std::vector<double> cell_w_;  // finite-volume cell widths
   std::vector<double> sigma_;   // stress at nodes (Pa)

@@ -29,6 +29,13 @@ const char* to_string(GateKind kind) {
 
 namespace {
 
+constexpr Volts kVdd{0.9};
+constexpr double kVth = 0.30;
+constexpr double kAlpha = 1.3;
+constexpr double kBaseDelayS = 20e-12;  // fresh gate delay
+constexpr Volts kRecoveryBias{-0.3};
+static_assert(kVdd.value() > kVth, "supply must exceed the threshold");
+
 bool is_two_input(GateKind k) {
   return k == GateKind::kNand2 || k == GateKind::kNor2 ||
          k == GateKind::kAnd2 || k == GateKind::kOr2;
@@ -75,11 +82,6 @@ bool eval_gate(GateKind k, bool a, bool b) {
 }
 
 }  // namespace
-
-LogicNetlist::LogicNetlist(GateParams params) : params_(params) {
-  DH_REQUIRE(params_.vdd.value() > params_.vth,
-             "supply must exceed the threshold");
-}
 
 GateId LogicNetlist::add_input(std::string name, double p_one) {
   DH_REQUIRE(p_one >= 0.0 && p_one <= 1.0, "p_one must be a probability");
@@ -139,9 +141,9 @@ std::vector<bool> LogicNetlist::evaluate(
 
 void LogicNetlist::age(LogicMode mode, Celsius temperature, Seconds dt,
                        const std::vector<bool>& idle_vector) {
-  const device::BtiCondition stress{params_.vdd, temperature};
+  const device::BtiCondition stress{kVdd, temperature};
   const device::BtiCondition rest{Volts{0.0}, temperature};
-  const device::BtiCondition heal{params_.recovery_bias, temperature};
+  const device::BtiCondition heal{kRecoveryBias, temperature};
 
   switch (mode) {
     case LogicMode::kOperating: {
@@ -178,20 +180,15 @@ void LogicNetlist::age(LogicMode mode, Celsius temperature, Seconds dt,
   }
 }
 
-double LogicNetlist::fresh_delay_s() const {
-  return params_.base_delay.value();
-}
-
 Seconds LogicNetlist::gate_delay(GateId g) const {
   DH_REQUIRE(g < gates_.size(), "gate id out of range");
   if (gates_[g].kind == GateKind::kInput) return Seconds{0.0};
   const double dvth = std::max(gates_[g].pull_up.delta_vth().value(),
                                gates_[g].pull_down.delta_vth().value());
-  const double vdd = params_.vdd.value();
-  const double ov0 = vdd - params_.vth;
+  const double ov0 = kVdd.value() - kVth;
   const double ov = ov0 - dvth;
   DH_REQUIRE(ov > 0.0, "gate no longer switches");
-  return Seconds{fresh_delay_s() * std::pow(ov0 / ov, params_.alpha)};
+  return Seconds{kBaseDelayS * std::pow(ov0 / ov, kAlpha)};
 }
 
 Seconds LogicNetlist::critical_path_delay() const {
@@ -220,7 +217,7 @@ double LogicNetlist::delay_degradation() const {
     depth[i] = std::max(depth[g.a], depth[g.b]) + 1.0;
     max_depth = std::max(max_depth, depth[i]);
   }
-  const double fresh = max_depth * fresh_delay_s();
+  const double fresh = max_depth * kBaseDelayS;
   if (fresh <= 0.0) return 0.0;
   return critical_path_delay().value() / fresh - 1.0;
 }
@@ -257,8 +254,8 @@ std::vector<bool> LogicNetlist::best_idle_vector() const {
   return best;
 }
 
-LogicNetlist make_c17_plus(GateParams params) {
-  LogicNetlist net{params};
+LogicNetlist make_c17_plus() {
+  LogicNetlist net;
   const GateId i1 = net.add_input("G1", 0.5);
   const GateId i2 = net.add_input("G2", 0.5);
   const GateId i3 = net.add_input("G3", 0.5);

@@ -27,14 +27,6 @@ enum class GateKind { kInput, kBuf, kInv, kNand2, kNor2, kAnd2, kOr2 };
 
 using GateId = std::size_t;
 
-struct GateParams {
-  Volts vdd{0.9};
-  double vth = 0.30;
-  double alpha = 1.3;
-  Seconds base_delay{20e-12};  // fresh gate delay
-  Volts recovery_bias{-0.3};
-};
-
 /// What the logic block spends a time slice doing.
 enum class LogicMode {
   kOperating,       // inputs toggle with their signal probabilities
@@ -42,10 +34,10 @@ enum class LogicMode {
   kActiveRecovery,  // assist circuitry: every device heals
 };
 
+/// Every gate is the same device: a 20 ps fresh delay, aging by the
+/// alpha-power law at a 0.9 V supply (logic_netlist.cpp).
 class LogicNetlist {
  public:
-  explicit LogicNetlist(GateParams params = {});
-
   /// Primary input with the given probability of being 1 during
   /// operation.
   [[nodiscard]] GateId add_input(std::string name, double p_one);
@@ -94,15 +86,12 @@ class LogicNetlist {
     device::CompactBti pull_down;
   };
 
-  [[nodiscard]] double fresh_delay_s() const;
-
-  GateParams params_;
   std::vector<Gate> gates_;
   std::vector<GateId> inputs_;
 };
 
 /// A representative benchmark circuit: ISCAS-style c17 (6 NAND2) plus a
 /// 4-stage buffered output chain, 5 inputs.
-[[nodiscard]] LogicNetlist make_c17_plus(GateParams params = {});
+[[nodiscard]] LogicNetlist make_c17_plus();
 
 }  // namespace dh::logic

@@ -22,6 +22,15 @@ const char* to_string(CoreAction a) {
 
 namespace {
 
+constexpr Volts kVdd{0.90};
+/// The critical-path ring oscillator that sets fmax.
+constexpr device::RingOscillatorParams kRo{
+    .stages = 75,
+    .vdd = kVdd,
+    .vth0 = Volts{0.32},
+    .alpha = 1.3,
+    .fresh_frequency = Hertz{2.0e9},
+};
 /// Gate bias the assist circuitry applies in kBtiActiveRecovery.
 constexpr Volts kActiveRecoveryBias{-0.30};
 /// Leakage power at kLeakageTRef, growing one e-fold per kLeakageTEfoldK.
@@ -37,7 +46,7 @@ void require_utilization(double utilization) {
 }  // namespace
 
 Core::Core(CoreParams params)
-    : params_(params), ro_(params.ro) {}
+    : params_(params), ro_(kRo) {}
 
 std::size_t Core::quantum_jobs(CoreAction action, double utilization,
                                Celsius temperature, Seconds dt,
@@ -50,7 +59,7 @@ std::size_t Core::quantum_jobs(CoreAction action, double utilization,
       const Seconds stressed{dt.value() * utilization};
       const Seconds relaxed{dt.value() * (1.0 - utilization)};
       if (stressed.value() > 0.0) {
-        jobs[n++] = {&bti_, {params_.vdd, temperature}, stressed};
+        jobs[n++] = {&bti_, {kVdd, temperature}, stressed};
       }
       if (relaxed.value() > 0.0) {
         jobs[n++] = {&bti_, {Volts{0.0}, temperature}, relaxed};
@@ -151,7 +160,7 @@ Watts Core::power(CoreAction action, double utilization,
 Amps Core::supply_current(CoreAction action, double utilization,
                           Celsius temperature) const {
   return Amps{power(action, utilization, temperature).value() /
-              params_.vdd.value()};
+              kVdd.value()};
 }
 
 void Core::save_state(ckpt::Serializer& s) const {

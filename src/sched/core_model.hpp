@@ -21,15 +21,8 @@ enum class CoreAction {
 
 [[nodiscard]] const char* to_string(CoreAction a);
 
+/// Every core runs at 0.9 V with a 2 GHz fresh fmax (core_model.cpp).
 struct CoreParams {
-  Volts vdd{0.90};
-  device::RingOscillatorParams ro{
-      .stages = 75,
-      .vdd = Volts{0.90},
-      .vth0 = Volts{0.32},
-      .alpha = 1.3,
-      .fresh_frequency = Hertz{2.0e9},
-  };
   Watts dynamic_power_peak{1.2};  // at utilization 1
 };
 
@@ -73,7 +66,7 @@ class Core {
   [[nodiscard]] const CoreParams& params() const { return params_; }
 
   /// Checkpoint support: the BTI state is the core's only mutable state
-  /// (the ring oscillator is a pure function of params).
+  /// (the ring oscillator is fixed).
   void save_state(ckpt::Serializer& s) const;
   void load_state(ckpt::Deserializer& d);
 

@@ -14,6 +14,10 @@ Workload::Workload(WorkloadParams params) : params_(params) {
   DH_REQUIRE(params_.duty > 0.0 && params_.duty <= 1.0,
              "duty must be in (0,1]");
   DH_REQUIRE(params_.period.value() > 0.0, "period must be positive");
+  // Also rejects NaN, which would never flip the burst state.
+  DH_REQUIRE(params_.burst_switch_prob >= 0.0 &&
+                 params_.burst_switch_prob <= 1.0,
+             "burst switch probability must be in [0,1]");
 }
 
 double Workload::sample(Seconds now, Rng& rng) {

@@ -1,25 +1,31 @@
 #include "sensors/em_canary.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.hpp"
 #include "common/obs/trace.hpp"
 
 namespace dh::sensors {
 
-EmCanaryBank::EmCanaryBank(EmCanaryParams params)
-    : params_(std::move(params)) {
-  DH_REQUIRE(!params_.width_scales.empty(), "canary bank cannot be empty");
-  DH_REQUIRE(std::is_sorted(params_.width_scales.begin(),
-                            params_.width_scales.end()),
-             "width scales must be ascending (narrowest canary first)");
-  for (const double w : params_.width_scales) {
-    DH_REQUIRE(w > 0.0 && w <= 1.0,
-               "canary width scale must be in (0, 1]");
+namespace {
+
+/// Width scale factors of the canary set, narrowest first (< 1 means the
+/// canary carries a higher current density than the rail).
+constexpr std::array<double, 3> kWidthScales{0.5, 0.65, 0.8};
+static_assert(std::is_sorted(kWidthScales.begin(), kWidthScales.end()),
+              "width scales must be ascending (narrowest canary first)");
+static_assert(kWidthScales.front() > 0.0 && kWidthScales.back() <= 1.0,
+              "canary width scale must be in (0, 1]");
+
+}  // namespace
+
+EmCanaryBank::EmCanaryBank(EmCanaryParams params) {
+  for (const double w : kWidthScales) {
     em::CompactEmParams p;
-    p.wire = params_.mission_wire;
-    p.wire.width = Meters{params_.mission_wire.width.value() * w};
-    p.material = params_.material;
+    p.wire = params.mission_wire;
+    p.wire.width = Meters{params.mission_wire.width.value() * w};
+    p.material = params.material;
     canaries_.emplace_back(p);
   }
 }
@@ -29,7 +35,7 @@ void EmCanaryBank::step(AmpsPerM2 mission_density, Celsius temperature,
   const std::size_t tripped_before = tripped();
   for (std::size_t i = 0; i < canaries_.size(); ++i) {
     // Same current forced through the narrower cross-section.
-    const double scale = 1.0 / params_.width_scales[i];
+    const double scale = 1.0 / kWidthScales[i];
     canaries_[i].step(AmpsPerM2{mission_density.value() * scale},
                       temperature, dt);
   }
@@ -58,8 +64,7 @@ double EmCanaryBank::estimated_life_consumed() const {
   double lower = 0.0;
   double upper = 1.0;
   for (std::size_t i = 0; i < canaries_.size(); ++i) {
-    const double frac =
-        params_.width_scales[i] * params_.width_scales[i];
+    const double frac = kWidthScales[i] * kWidthScales[i];
     const bool hit = canaries_[i].void_open() || canaries_[i].broken() ||
                      canaries_[i].void_length().value() > 0.0;
     if (hit) {

@@ -12,12 +12,11 @@
 
 namespace dh::sensors {
 
+/// The bank holds three canaries at 0.5, 0.65 and 0.8 of the mission
+/// wire's width (em_canary.cpp).
 struct EmCanaryParams {
   em::WireGeometry mission_wire{};          // the rail being protected
   em::EmMaterialParams material{};
-  /// Width scale factors of the canary set, narrowest first (< 1 means
-  /// the canary carries a higher current density than the rail).
-  std::vector<double> width_scales{0.5, 0.65, 0.8};
 };
 
 class EmCanaryBank {
@@ -41,7 +40,6 @@ class EmCanaryBank {
   [[nodiscard]] const em::CompactEm& canary(std::size_t i) const;
 
  private:
-  EmCanaryParams params_;
   std::vector<em::CompactEm> canaries_;
 };
 

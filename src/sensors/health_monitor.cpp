@@ -7,9 +7,16 @@
 
 namespace dh::sensors {
 
+namespace {
+
+/// Exponential smoothing factor per reading; 1 would mean no memory.
+constexpr double kEwmaAlpha = 0.25;
+static_assert(kEwmaAlpha > 0.0 && kEwmaAlpha <= 1.0,
+              "EWMA alpha must be in (0,1]");
+
+}  // namespace
+
 HealthMonitor::HealthMonitor(HealthMonitorParams params) : params_(params) {
-  DH_REQUIRE(params_.ewma_alpha > 0.0 && params_.ewma_alpha <= 1.0,
-             "EWMA alpha must be in (0,1]");
   DH_REQUIRE(params_.clear < params_.trip,
              "hysteresis requires clear < trip");
 }
@@ -22,8 +29,7 @@ double HealthMonitor::update(double reading) {
   if (readings_ == 0) {
     estimate_ = reading;
   } else {
-    estimate_ = params_.ewma_alpha * reading +
-                (1.0 - params_.ewma_alpha) * estimate_;
+    estimate_ = kEwmaAlpha * reading + (1.0 - kEwmaAlpha) * estimate_;
   }
   ++readings_;
   const bool was_alarm = alarm_;

@@ -10,9 +10,9 @@
 
 namespace dh::sensors {
 
+/// Readings are smoothed with an exponential moving average of weight
+/// 0.25 per reading.
 struct HealthMonitorParams {
-  /// Exponential smoothing factor per reading in (0, 1]; 1 = no memory.
-  double ewma_alpha = 0.25;
   /// Alarm trips when the smoothed estimate crosses `trip`, clears below
   /// `clear` (hysteresis so sensor noise cannot chatter the scheduler).
   double trip = 0.010;

@@ -7,11 +7,17 @@
 
 namespace dh::sensors {
 
-RoPairSensor::RoPairSensor(RoPairSensorParams params, Rng rng)
-    : params_(params), ro_(params.ro), rng_(rng) {
-  DH_REQUIRE(params_.gate_time.value() > 0.0,
-             "counter gate time must be positive");
-}
+namespace {
+
+constexpr double kGateTimeS = 0.01;      // counter gate (quantization)
+constexpr double kRelativeNoise = 1e-4;  // residual mismatch noise
+constexpr Volts kRecoveryBias{-0.3};     // reference RO healing bias
+static_assert(kGateTimeS > 0.0, "counter gate time must be positive");
+
+}  // namespace
+
+RoPairSensor::RoPairSensor(Rng rng)
+    : ro_(device::RingOscillatorParams{}), rng_(rng) {}
 
 void RoPairSensor::step(double stress_duty, Volts supply_bias,
                         Celsius temperature, Seconds dt) {
@@ -27,14 +33,13 @@ void RoPairSensor::step(double stress_duty, Volts supply_bias,
   }
   // The reference RO spends the whole quantum in active recovery, so it
   // stays effectively fresh for the sensor's lifetime.
-  reference_.apply({params_.recovery_bias, temperature}, dt);
+  reference_.apply({kRecoveryBias, temperature}, dt);
 }
 
 double RoPairSensor::quantized_frequency(const device::CompactBti& dev) {
   const double truth = ro_.frequency(dev.delta_vth()).value();
-  const double noisy =
-      truth * (1.0 + rng_.normal(0.0, params_.relative_noise));
-  const double resolution = 1.0 / params_.gate_time.value();
+  const double noisy = truth * (1.0 + rng_.normal(0.0, kRelativeNoise));
+  const double resolution = 1.0 / kGateTimeS;
   return std::round(noisy / resolution) * resolution;
 }
 

@@ -16,16 +16,11 @@
 
 namespace dh::sensors {
 
-struct RoPairSensorParams {
-  device::RingOscillatorParams ro{};
-  Seconds gate_time{0.01};        // counter gate (quantization)
-  double relative_noise = 1e-4;   // residual mismatch noise
-  Volts recovery_bias{-0.3};      // reference RO healing bias
-};
-
+/// Both ROs are the paper's 75-stage RO (RingOscillatorParams{}), read
+/// with a 0.01 s counter gate and 1e-4 relative mismatch noise.
 class RoPairSensor {
  public:
-  RoPairSensor(RoPairSensorParams params, Rng rng);
+  explicit RoPairSensor(Rng rng);
 
   /// Age the sensor alongside the logic it shadows: the stressed RO sees
   /// the logic's duty, the reference RO spends the quantum healing.
@@ -40,7 +35,6 @@ class RoPairSensor {
   [[nodiscard]] Volts true_dvth() const;
 
  private:
-  RoPairSensorParams params_;
   device::RingOscillator ro_;
   device::CompactBti stressed_;
   device::CompactBti reference_;

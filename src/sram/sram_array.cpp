@@ -7,16 +7,20 @@
 
 namespace dh::sram {
 
+namespace {
+
+constexpr double kPOne = 0.5;  // probability a cell stores 1
+
+}  // namespace
+
 SramArray::SramArray(SramArrayParams params)
     : params_(params), rng_(params.seed) {
   DH_REQUIRE(params_.cells >= 1, "array needs at least one cell");
-  DH_REQUIRE(params_.p_one >= 0.0 && params_.p_one <= 1.0,
-             "p_one must be a probability");
   cells_.reserve(params_.cells);
   bits_.reserve(params_.cells);
   for (std::size_t i = 0; i < params_.cells; ++i) {
-    cells_.emplace_back(params_.cell);
-    bits_.push_back(rng_.bernoulli(params_.p_one));
+    cells_.emplace_back();
+    bits_.push_back(rng_.bernoulli(kPOne));
   }
 }
 
@@ -31,7 +35,7 @@ void SramArray::step(Celsius temperature, Seconds dt,
   // physics is independent and runs over the pool.
   if (params_.pattern == DataPattern::kFlipping) {
     for (std::size_t i = 0; i < cells_.size(); ++i) {
-      bits_[i] = rng_.bernoulli(params_.p_one);
+      bits_[i] = rng_.bernoulli(kPOne);
     }
   }
   parallel_for(cells_.size(), [&](std::size_t i) {

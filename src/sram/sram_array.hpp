@@ -16,11 +16,10 @@ enum class DataPattern {
   kFlipping,      // bits re-randomized every step (signal-prob balancing)
 };
 
+/// Each cell stores 1 with probability 0.5.
 struct SramArrayParams {
   std::size_t cells = 64;
-  SramCellParams cell{};
   DataPattern pattern = DataPattern::kStatic;
-  double p_one = 0.5;  // probability a cell stores 1
   std::uint64_t seed = 17;
 };
 

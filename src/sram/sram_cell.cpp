@@ -9,24 +9,32 @@
 
 namespace dh::sram {
 
-SramCell::SramCell(SramCellParams params) : params_(params) {
-  DH_REQUIRE(params_.vdd.value() > params_.pmos_vth,
-             "supply must exceed the PMOS threshold");
-}
+namespace {
+
+constexpr Volts kVdd{0.9};
+constexpr double kPmosVth = 0.30;
+constexpr double kNmosVth = 0.28;
+constexpr double kPmosBeta = 0.8e-4;  // weak pull-ups (standard 6T ratioing)
+constexpr double kNmosBeta = 2.0e-4;  // strong pull-downs
+constexpr Volts kRecoveryBias{-0.3};  // assist/boost bias for PMOS recovery
+static_assert(kVdd.value() > kPmosVth,
+              "supply must exceed the PMOS threshold");
+
+}  // namespace
 
 void SramCell::step(CellMode mode, bool stored_bit, Celsius temperature,
                     Seconds dt) {
   switch (mode) {
     case CellMode::kHold: {
       // The PMOS on the "1" side conducts: |Vsg| = VDD (NBTI stress).
-      const device::BtiCondition stressed{params_.vdd, temperature};
+      const device::BtiCondition stressed{kVdd, temperature};
       const device::BtiCondition resting{Volts{0.0}, temperature};
       left_pmos_.apply(stored_bit ? stressed : resting, dt);
       right_pmos_.apply(stored_bit ? resting : stressed, dt);
       break;
     }
     case CellMode::kRecoveryBoost: {
-      const device::BtiCondition boost{params_.recovery_bias, temperature};
+      const device::BtiCondition boost{kRecoveryBias, temperature};
       left_pmos_.apply(boost, dt);
       right_pmos_.apply(boost, dt);
       break;
@@ -37,8 +45,7 @@ void SramCell::step(CellMode mode, bool stored_bit, Celsius temperature,
 Volts SramCell::left_pmos_dvth() const { return left_pmos_.delta_vth(); }
 Volts SramCell::right_pmos_dvth() const { return right_pmos_.delta_vth(); }
 
-std::vector<double> inverter_vtc(const SramCellParams& params,
-                                 Volts pmos_dvth, Volts nmos_dvth,
+std::vector<double> inverter_vtc(Volts pmos_dvth, Volts nmos_dvth,
                                  const std::vector<double>& vin) {
   std::vector<double> out;
   out.reserve(vin.size());
@@ -48,17 +55,17 @@ std::vector<double> inverter_vtc(const SramCellParams& params,
     const auto in = c.add_node("in");
     const auto o = c.add_node("out");
     (void)c.add_voltage_source(vdd, circuit::Circuit::ground(),
-                               circuit::Waveform::dc(params.vdd.value()));
+                               circuit::Waveform::dc(kVdd.value()));
     (void)c.add_voltage_source(in, circuit::Circuit::ground(),
                                circuit::Waveform::dc(v));
     circuit::MosfetParams p;
     p.polarity = circuit::MosPolarity::kPmos;
-    p.vth = params.pmos_vth + pmos_dvth.value();
-    p.beta = params.pmos_beta;
+    p.vth = kPmosVth + pmos_dvth.value();
+    p.beta = kPmosBeta;
     circuit::MosfetParams n;
     n.polarity = circuit::MosPolarity::kNmos;
-    n.vth = params.nmos_vth + nmos_dvth.value();
-    n.beta = params.nmos_beta;
+    n.vth = kNmosVth + nmos_dvth.value();
+    n.beta = kNmosBeta;
     c.add_mosfet(p, in, o, vdd);
     c.add_mosfet(n, in, o, circuit::Circuit::ground());
     out.push_back(c.solve_dc().voltage(o));
@@ -131,26 +138,24 @@ double snm_from_vtcs(const std::vector<double>& vin,
 
 namespace {
 
-double cell_snm(const SramCellParams& params, Volts left_dvth,
-                Volts right_dvth) {
-  const auto vin = math::linspace(0.0, params.vdd.value(), 41);
+double cell_snm(Volts left_dvth, Volts right_dvth) {
+  const auto vin = math::linspace(0.0, kVdd.value(), 41);
   // In the cross-coupled pair, the inverter driving Q uses the left
   // PMOS and the one driving Qb uses the right PMOS. PBTI on the NMOS
   // devices is second order for hold SNM and held fresh here.
-  const auto f1 = inverter_vtc(params, left_dvth, Volts{0.0}, vin);
-  const auto f2 = inverter_vtc(params, right_dvth, Volts{0.0}, vin);
+  const auto f1 = inverter_vtc(left_dvth, Volts{0.0}, vin);
+  const auto f2 = inverter_vtc(right_dvth, Volts{0.0}, vin);
   return snm_from_vtcs(vin, f1, f2);
 }
 
 }  // namespace
 
 Volts SramCell::hold_snm() const {
-  return Volts{cell_snm(params_, left_pmos_.delta_vth(),
-                        right_pmos_.delta_vth())};
+  return Volts{cell_snm(left_pmos_.delta_vth(), right_pmos_.delta_vth())};
 }
 
 Volts SramCell::fresh_snm() const {
-  return Volts{cell_snm(params_, Volts{0.0}, Volts{0.0})};
+  return Volts{cell_snm(Volts{0.0}, Volts{0.0})};
 }
 
 }  // namespace dh::sram

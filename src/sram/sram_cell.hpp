@@ -18,25 +18,16 @@
 
 namespace dh::sram {
 
-struct SramCellParams {
-  Volts vdd{0.9};
-  double pmos_vth = 0.30;
-  double nmos_vth = 0.28;
-  double pmos_beta = 0.8e-4;   // weak pull-ups (standard 6T ratioing)
-  double nmos_beta = 2.0e-4;   // strong pull-downs
-  Volts recovery_bias{-0.3};   // assist/boost bias for PMOS recovery
-};
-
 /// What the cell spends a time slice doing.
 enum class CellMode {
   kHold,          // statically holding `stored_bit`
   kRecoveryBoost, // both PMOS driven into active recovery (cell idle)
 };
 
+/// Every cell is sized the same (sram_cell.cpp): 0.9 V supply, weak
+/// pull-ups against strong pull-downs (standard 6T ratioing).
 class SramCell {
  public:
-  explicit SramCell(SramCellParams params);
-
   /// Advance wearout. While holding, the PMOS on the side storing "1"
   /// is under NBTI stress; in recovery-boost mode both PMOS heal.
   void step(CellMode mode, bool stored_bit, Celsius temperature,
@@ -51,13 +42,10 @@ class SramCell {
   /// the largest square embedded in the butterfly plot).
   [[nodiscard]] Volts hold_snm() const;
 
-  /// Fresh-cell SNM for the same parameters (reference).
+  /// Fresh-cell SNM (reference).
   [[nodiscard]] Volts fresh_snm() const;
 
-  [[nodiscard]] const SramCellParams& params() const { return params_; }
-
  private:
-  SramCellParams params_;
   device::CompactBti left_pmos_;   // drives node Q high (stressed when Q=1)
   device::CompactBti right_pmos_;  // drives node Qb high (stressed when Q=0)
 };
@@ -72,7 +60,6 @@ class SramCell {
 /// Inverter VTC with aged device thresholds, solved point by point with
 /// the MNA simulator.
 [[nodiscard]] std::vector<double> inverter_vtc(
-    const SramCellParams& params, Volts pmos_dvth, Volts nmos_dvth,
-    const std::vector<double>& vin);
+    Volts pmos_dvth, Volts nmos_dvth, const std::vector<double>& vin);
 
 }  // namespace dh::sram

@@ -11,15 +11,20 @@ namespace dh::thermal {
 
 namespace {
 
+constexpr double kDieThicknessM = 0.5e-3;
+constexpr double kSiliconKWPerMK = 120.0;
+// The lateral conductance k * t must be positive, or the Laplacian is not
+// SPD and the factorization would fail with a pivot error.
+static_assert(kSiliconKWPerMK > 0.0 && kDieThicknessM > 0.0,
+              "lateral conductance must be positive");
+
 ThermalGridParams validated(ThermalGridParams p) {
   DH_REQUIRE(p.rows >= 1 && p.cols >= 1, "grid must be non-empty");
   DH_REQUIRE(p.vertical_g_w_per_k > 0.0,
              "package conductance must be positive");
-  // The lateral conductance k * t must be positive too, or the Laplacian
-  // is not SPD and the factorization would fail with a pivot error.
-  DH_REQUIRE(p.k_silicon_w_per_mk > 0.0,
-             "silicon thermal conductivity must be positive");
-  DH_REQUIRE(p.die_thickness.value() > 0.0, "die thickness must be positive");
+  // A NaN ambient would turn every tile temperature NaN.
+  DH_REQUIRE(std::isfinite(p.ambient.value()),
+             "ambient temperature must be finite");
   return p;
 }
 
@@ -29,7 +34,7 @@ math::sparse::SpdSolver conductance(const ThermalGridParams& p) {
   // puts the farthest neighbour a row (cols) away, or next door when
   // there is only one row.
   math::sparse::SpdSolver g(p.rows * p.cols, p.rows > 1 ? p.cols : 1);
-  const double g_lat = p.k_silicon_w_per_mk * p.die_thickness.value();
+  const double g_lat = kSiliconKWPerMK * kDieThicknessM;
   for (std::size_t r = 0; r < p.rows; ++r) {
     for (std::size_t c = 0; c < p.cols; ++c) {
       const std::size_t i = r * p.cols + c;

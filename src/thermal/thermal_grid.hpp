@@ -22,14 +22,13 @@ class Deserializer;
 
 namespace dh::thermal {
 
+/// Tiles couple laterally through a 0.5 mm silicon die (thermal_grid.cpp).
 struct ThermalGridParams {
   std::size_t rows = 4;
   std::size_t cols = 4;
-  Meters die_thickness{0.5e-3};
-  double k_silicon_w_per_mk = 120.0;
   /// Vertical conductance to ambient per tile (package + heatsink), W/K.
   double vertical_g_w_per_k = 0.15;
-  Celsius ambient{45.0};
+  Celsius ambient{45.0};  // must be finite
 };
 
 /// Counters for the cached steady-state solver (mirrors PdnSolveStats).

@@ -10,14 +10,8 @@
 namespace dh::circuit {
 namespace {
 
-AssistCircuit make_assist(int load_units = 1) {
-  AssistCircuitParams p;
-  p.load_units = load_units;
-  return AssistCircuit{p};
-}
-
 TEST(Assist, NormalModePowersTheLoad) {
-  const AssistOperating op = make_assist().solve(AssistMode::kNormal);
+  const AssistOperating op = AssistCircuit{}.solve(AssistMode::kNormal);
   EXPECT_GT(op.effective_supply(), 0.8);
   EXPECT_GT(op.grid_current, 1e-4);
 }
@@ -25,7 +19,7 @@ TEST(Assist, NormalModePowersTheLoad) {
 TEST(Assist, EmModeReversesGridCurrentSameMagnitude) {
   // Fig. 9a: "The current direction is reversed under EM Active Recovery
   // Mode, and the current value is still the same".
-  const AssistCircuit ac = make_assist();
+  const AssistCircuit ac;
   const AssistOperating normal = ac.solve(AssistMode::kNormal);
   const AssistOperating em = ac.solve(AssistMode::kEmActiveRecovery);
   EXPECT_LT(em.grid_current, 0.0);
@@ -34,7 +28,7 @@ TEST(Assist, EmModeReversesGridCurrentSameMagnitude) {
 }
 
 TEST(Assist, EmModeKeepsLoadOperational) {
-  const AssistCircuit ac = make_assist();
+  const AssistCircuit ac;
   const AssistOperating normal = ac.solve(AssistMode::kNormal);
   const AssistOperating em = ac.solve(AssistMode::kEmActiveRecovery);
   EXPECT_NEAR(em.effective_supply(), normal.effective_supply(), 0.02);
@@ -44,7 +38,7 @@ TEST(Assist, BtiModeSwapsLoadRails) {
   // Fig. 9b: load VDD and VSS node values are switched, with a 0.2-0.3 V
   // droop/increase from the pass devices.
   const AssistOperating op =
-      make_assist().solve(AssistMode::kBtiActiveRecovery);
+      AssistCircuit{}.solve(AssistMode::kBtiActiveRecovery);
   EXPECT_GT(op.load_vss, op.load_vdd);  // rails swapped
   const double dv_low = op.load_vdd;          // VSS + dV
   const double dv_high = 1.0 - op.load_vss;   // VDD - dV
@@ -56,14 +50,14 @@ TEST(Assist, BtiModeSwapsLoadRails) {
 
 TEST(Assist, BtiRecoveryBiasExceedsExperimentNeed) {
   // "-0.816V is much higher than -0.3V used in our experiment".
-  const Volts bias = make_assist().bti_recovery_bias();
+  const Volts bias = AssistCircuit{}.bti_recovery_bias();
   EXPECT_LT(bias.value(), -0.3);
   EXPECT_GT(bias.value(), -1.0);
 }
 
 TEST(Assist, BtiModeDrawsAlmostNoGridCurrent) {
   const AssistOperating op =
-      make_assist().solve(AssistMode::kBtiActiveRecovery);
+      AssistCircuit{}.solve(AssistMode::kBtiActiveRecovery);
   EXPECT_LT(std::abs(op.grid_current), 1e-6);
 }
 
@@ -71,22 +65,16 @@ TEST(Assist, DelayGrowsWithLoadSize) {
   // Fig. 10: "by increasing load size, the performance degrades".
   double prev = 0.0;
   for (int n = 1; n <= 5; ++n) {
-    AssistCircuitParams p;
-    p.load_units = n;
     const double d =
-        AssistCircuit{p}.normalized_load_delay(AssistMode::kNormal);
+        AssistCircuit{n}.normalized_load_delay(AssistMode::kNormal);
     EXPECT_GT(d, prev);
     prev = d;
   }
 }
 
 TEST(Assist, DelayRatioMatchesPaperScale) {
-  AssistCircuitParams p1;
-  p1.load_units = 1;
-  AssistCircuitParams p5;
-  p5.load_units = 5;
-  const double d1 = AssistCircuit{p1}.normalized_load_delay(AssistMode::kNormal);
-  const double d5 = AssistCircuit{p5}.normalized_load_delay(AssistMode::kNormal);
+  const double d1 = AssistCircuit{1}.normalized_load_delay(AssistMode::kNormal);
+  const double d5 = AssistCircuit{5}.normalized_load_delay(AssistMode::kNormal);
   // Paper Fig. 10 tops out around 1.8x at 5 loads.
   EXPECT_GT(d5 / d1, 1.4);
   EXPECT_LT(d5 / d1, 2.3);
@@ -95,15 +83,11 @@ TEST(Assist, DelayRatioMatchesPaperScale) {
 TEST(Assist, SwitchingTimeDecreasesWithLoadSize) {
   // Fig. 10: "Switching time also reduces with the increased load, but
   // with a slower rate."
-  AssistCircuitParams p1;
-  p1.load_units = 1;
-  AssistCircuitParams p4;
-  p4.load_units = 4;
-  const double t1 = AssistCircuit{p1}
+  const double t1 = AssistCircuit{1}
                         .switching_time(AssistMode::kNormal,
                                         AssistMode::kBtiActiveRecovery)
                         .value();
-  const double t4 = AssistCircuit{p4}
+  const double t4 = AssistCircuit{4}
                         .switching_time(AssistMode::kNormal,
                                         AssistMode::kBtiActiveRecovery)
                         .value();
@@ -113,7 +97,7 @@ TEST(Assist, SwitchingTimeDecreasesWithLoadSize) {
 }
 
 TEST(Assist, TransitionWaveformShowsCurrentReversal) {
-  const AssistCircuit ac = make_assist();
+  const AssistCircuit ac;
   const TransientResult tr =
       ac.transition(AssistMode::kNormal, AssistMode::kEmActiveRecovery,
                     Seconds{2e-9}, Seconds{60e-9}, Seconds{1e-10});
@@ -125,12 +109,8 @@ TEST(Assist, TransitionWaveformShowsCurrentReversal) {
 }
 
 TEST(Assist, RejectsInvalidConfig) {
-  AssistCircuitParams p;
-  p.load_units = 0;
-  EXPECT_THROW(AssistCircuit{p}, Error);
-  p = AssistCircuitParams{};
-  p.vdd = Volts{0.2};  // below threshold
-  EXPECT_THROW(AssistCircuit{p}, Error);
+  EXPECT_THROW(AssistCircuit{0}, Error);
+  EXPECT_THROW(AssistCircuit{-1}, Error);
 }
 
 TEST(Assist, ModeNames) {

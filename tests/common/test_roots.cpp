@@ -26,8 +26,9 @@ TEST(Brent, ExactEndpoint) {
 }
 
 TEST(Brent, RequiresSignChange) {
-  EXPECT_THROW(brent_root([](double x) { return x * x + 1.0; }, -1.0, 1.0),
-               Error);
+  EXPECT_THROW(
+      (void)brent_root([](double x) { return x * x + 1.0; }, -1.0, 1.0),
+      Error);
 }
 
 }  // namespace

@@ -94,9 +94,9 @@ TEST(TimeSeries, PrintTableAlignsRows) {
 TEST(TimeSeries, EmptyAccessorsThrow) {
   const TimeSeries s;
   EXPECT_TRUE(s.empty());
-  EXPECT_THROW(s.front_value(), Error);
-  EXPECT_THROW(s.min_value(), Error);
-  EXPECT_THROW(s.sample(Seconds{0.0}), Error);
+  EXPECT_THROW((void)s.front_value(), Error);
+  EXPECT_THROW((void)s.min_value(), Error);
+  EXPECT_THROW((void)s.sample(Seconds{0.0}), Error);
 }
 
 }  // namespace

@@ -9,11 +9,10 @@
 namespace dh::device {
 namespace {
 
-BtiSensor make_sensor(std::uint64_t seed = 1,
-                      BtiSensorParams p = BtiSensorParams{}) {
+BtiSensor make_sensor(std::uint64_t seed = 1) {
   RingOscillatorParams rop;
   rop.vdd = Volts{1.1};
-  return BtiSensor{RingOscillator{rop}, p, Rng{seed}};
+  return BtiSensor{RingOscillator{rop}, Rng{seed}};
 }
 
 TEST(BtiSensor, MeasurementNearTruth) {
@@ -28,13 +27,13 @@ TEST(BtiSensor, MeasurementNearTruth) {
 }
 
 TEST(BtiSensor, QuantizationRespectsGateTime) {
-  BtiSensorParams p;
-  p.gate_time = Seconds{0.01};  // 100 Hz resolution
-  p.relative_noise = 0.0;
-  BtiSensor sensor = make_sensor(3, p);
+  // The 0.1 s counter gate resolves 10 Hz; noise comes before counting.
+  BtiSensor sensor = make_sensor(3);
   const auto device = BtiModel::paper_calibrated();
-  const double f = sensor.measure_frequency(device).value();
-  EXPECT_NEAR(std::fmod(f, 100.0), 0.0, 1e-6);
+  for (int i = 0; i < 20; ++i) {
+    const double f = sensor.measure_frequency(device).value();
+    EXPECT_NEAR(std::fmod(f, 10.0), 0.0, 1e-6);
+  }
 }
 
 TEST(BtiSensor, DeterministicForSameSeed) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "em/em_sensor.hpp"
 #include "em/korhonen.hpp"
@@ -106,6 +108,25 @@ TEST(CompactEm, SaturatesBelowCriticalAtLowCurrent) {
     m.step(mega_amps_per_cm2(1.5), t, days(1.0));
   }
   EXPECT_FALSE(m.void_open());
+}
+
+TEST(CompactEm, RejectsNonFiniteOrNegativeDt) {
+  // An infinite step would leave the void length NaN with broken() false,
+  // and the next resistance() would throw.
+  CompactEm m = make_compact();
+  const auto j = paper_em_conditions::stress_density();
+  const auto t = paper_em_conditions::chamber();
+  m.step(j, t, hours(8.0));
+  ASSERT_TRUE(m.void_open());
+  const double stress = m.end_stress().value();
+  const double void_m = m.void_length().value();
+  for (const double dt : {HUGE_VAL, std::nan(""), -1.0}) {
+    EXPECT_THROW(m.step(j, t, Seconds{dt}), Error);
+    EXPECT_EQ(m.end_stress().value(), stress);
+    EXPECT_EQ(m.void_length().value(), void_m);
+    EXPECT_FALSE(m.broken());
+  }
+  EXPECT_TRUE(std::isfinite(m.resistance(t).value()));
 }
 
 TEST(CompactEm, InvalidTauRejected) {

@@ -4,13 +4,12 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
 
 namespace dh::em {
 namespace {
 
 TEST(EmSensor, MeasurementNearTruth) {
-  EmSensor s{EmSensorParams{}, Rng{1}};
+  EmSensor s{Rng{1}};
   for (int i = 0; i < 100; ++i) {
     const double r = s.measure(Ohms{65.26}).value();
     EXPECT_NEAR(r, 65.26, 0.3);
@@ -18,27 +17,21 @@ TEST(EmSensor, MeasurementNearTruth) {
 }
 
 TEST(EmSensor, QuantizedToResolution) {
-  EmSensorParams p;
-  p.resolution = Ohms{0.05};
-  p.relative_noise = 0.0;
-  EmSensor s{p, Rng{2}};
-  const double r = s.measure(Ohms{35.76}).value();
-  EXPECT_NEAR(std::fmod(r + 1e-12, 0.05), 0.0, 1e-9);
+  // The meter resolves 0.01 Ohm; noise comes before quantization.
+  EmSensor s{Rng{2}};
+  for (int i = 0; i < 20; ++i) {
+    const double steps = s.measure(Ohms{35.7613}).value() / 0.01;
+    EXPECT_NEAR(steps, std::round(steps), 1e-6);
+  }
 }
 
 TEST(EmSensor, DeterministicForSeed) {
-  EmSensor a{EmSensorParams{}, Rng{42}};
-  EmSensor b{EmSensorParams{}, Rng{42}};
+  EmSensor a{Rng{42}};
+  EmSensor b{Rng{42}};
   for (int i = 0; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(a.measure(Ohms{50.0}).value(),
                      b.measure(Ohms{50.0}).value());
   }
-}
-
-TEST(EmSensor, RejectsNonPositiveResolution) {
-  EmSensorParams p;
-  p.resolution = Ohms{0.0};
-  EXPECT_THROW((EmSensor{p, Rng{1}}), Error);
 }
 
 TEST(EmSensor, PaperConditionsConstants) {

@@ -159,12 +159,23 @@ TEST(Korhonen, NegativeDtRejected) {
   EXPECT_THROW(s.step(AmpsPerM2{0.0}, Celsius{230.0}, Seconds{-1.0}), Error);
 }
 
+TEST(Korhonen, NonFiniteDtRejected) {
+  // An infinite step would substep until the wire broke, or forever at
+  // zero current.
+  KorhonenSolver s = make_solver();
+  const auto j = paper_em_conditions::stress_density();
+  EXPECT_THROW(s.step(j, Celsius{230.0}, Seconds{HUGE_VAL}), Error);
+  EXPECT_THROW(s.step(j, Celsius{230.0}, Seconds{std::nan("")}), Error);
+  EXPECT_EQ(s.elapsed().value(), 0.0);
+  EXPECT_FALSE(s.broken());
+}
+
 TEST(Korhonen, GridValidation) {
-  KorhonenGridParams g;
-  g.first_cell = Meters{-1.0};
-  EXPECT_THROW(
-      (KorhonenSolver{paper_wire(), paper_calibrated_em_material(), g}),
-      Error);
+  // The 0.2 um first cell must be under a quarter of the wire.
+  WireGeometry stub = paper_wire();
+  stub.length = Meters{0.8e-6};
+  EXPECT_THROW((KorhonenSolver{stub, paper_calibrated_em_material()}),
+               Error);
 }
 
 }  // namespace

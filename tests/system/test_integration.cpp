@@ -15,7 +15,7 @@ TEST(Integration, AssistCircuitDeliversTheBiasThePlanAssumes) {
   // Table I's active-recovery conditions (No. 2 and No. 4) assume a
   // -0.3 V bias; the assist circuitry must deliver at least that magnitude
   // at its load pins.
-  circuit::AssistCircuit assist{circuit::AssistCircuitParams{}};
+  const circuit::AssistCircuit assist;
   const Volts bias = assist.bti_recovery_bias();
   EXPECT_LE(bias.value(), -0.3);
 }

@@ -50,9 +50,9 @@ TEST(LogicNetlist, C17Truth) {
 
 TEST(LogicSta, FreshCriticalPathIsDepthTimesBaseDelay) {
   LogicNetlist net = make_c17_plus();
-  // Depth: inputs -> g2 -> g3 -> g5 -> INV -> INV -> BUF -> OR = 7.
-  EXPECT_NEAR(net.critical_path_delay().value(),
-              7.0 * GateParams{}.base_delay.value(), 1e-15);
+  // Depth: inputs -> g2 -> g3 -> g5 -> INV -> INV -> BUF -> OR = 7, at
+  // 20 ps per fresh gate.
+  EXPECT_NEAR(net.critical_path_delay().value(), 7.0 * 20e-12, 1e-15);
   EXPECT_NEAR(net.delay_degradation(), 0.0, 1e-12);
 }
 

@@ -14,7 +14,7 @@ namespace {
 // ---- RO-pair BTI sensor ---------------------------------------------------
 
 RoPairSensor make_ro_pair(std::uint64_t seed = 3) {
-  return RoPairSensor{RoPairSensorParams{}, Rng{seed}};
+  return RoPairSensor{Rng{seed}};
 }
 
 TEST(RoPairSensor, FreshReadsNearZero) {
@@ -114,22 +114,10 @@ TEST(EmCanary, LifeEstimateGrowsMonotonically) {
   EXPECT_GT(prev, 0.2);
 }
 
-TEST(EmCanary, Validation) {
-  EmCanaryParams p;
-  p.mission_wire = em::paper_wire();
-  p.material = em::paper_calibrated_em_material();
-  p.width_scales = {};
-  EXPECT_THROW(EmCanaryBank{p}, Error);
-  p.width_scales = {0.8, 0.5};  // not ascending
-  EXPECT_THROW(EmCanaryBank{p}, Error);
-  p.width_scales = {1.5};
-  EXPECT_THROW(EmCanaryBank{p}, Error);
-}
-
 // ---- Health monitor -------------------------------------------------------
 
 TEST(HealthMonitor, SmoothsNoise) {
-  HealthMonitor m{HealthMonitorParams{.ewma_alpha = 0.2}};
+  HealthMonitor m{HealthMonitorParams{}};
   Rng rng{7};
   double last = 0.0;
   for (int i = 0; i < 200; ++i) {
@@ -139,14 +127,18 @@ TEST(HealthMonitor, SmoothsNoise) {
 }
 
 TEST(HealthMonitor, AlarmHysteresis) {
-  HealthMonitor m{
-      HealthMonitorParams{.ewma_alpha = 1.0, .trip = 0.01, .clear = 0.004}};
+  // Each reading moves the estimate a quarter of the way to it.
+  HealthMonitor m{HealthMonitorParams{.trip = 0.01, .clear = 0.004}};
   EXPECT_FALSE(m.alarm());
   (void)m.update(0.012);
   EXPECT_TRUE(m.alarm());
-  (void)m.update(0.007);  // between clear and trip: alarm holds
-  EXPECT_TRUE(m.alarm());
-  (void)m.update(0.002);
+  for (int i = 0; i < 3; ++i) {
+    (void)m.update(0.0);  // 0.009, 0.00675, 0.0051: alarm holds
+    EXPECT_TRUE(m.alarm());
+  }
+  (void)m.update(0.0);  // 0.0038: clears
+  EXPECT_FALSE(m.alarm());
+  (void)m.update(0.009);  // 0.0051: below trip, stays clear
   EXPECT_FALSE(m.alarm());
 }
 
@@ -154,7 +146,7 @@ TEST(HealthMonitor, NonFiniteReadingIsSkipped) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   // A tripped alarm must still clear after a NaN reading.
   HealthMonitor tripped{
-      HealthMonitorParams{.ewma_alpha = 0.5, .trip = 0.01, .clear = 0.004}};
+      HealthMonitorParams{.trip = 0.01, .clear = 0.004}};
   (void)tripped.update(0.02);
   ASSERT_TRUE(tripped.alarm());
   EXPECT_DOUBLE_EQ(tripped.update(nan), 0.02);
@@ -164,7 +156,7 @@ TEST(HealthMonitor, NonFiniteReadingIsSkipped) {
   EXPECT_FALSE(tripped.alarm());
 
   // A NaN before any valid reading must not seed the estimate.
-  HealthMonitor fresh{HealthMonitorParams{.ewma_alpha = 0.1}};
+  HealthMonitor fresh{HealthMonitorParams{}};
   (void)fresh.update(std::numeric_limits<double>::infinity());
   (void)fresh.update(nan);
   EXPECT_EQ(fresh.readings(), 0u);
@@ -173,7 +165,7 @@ TEST(HealthMonitor, NonFiniteReadingIsSkipped) {
 }
 
 TEST(HealthMonitor, FirstReadingSeedsEstimate) {
-  HealthMonitor m{HealthMonitorParams{.ewma_alpha = 0.1}};
+  HealthMonitor m{HealthMonitorParams{}};
   EXPECT_DOUBLE_EQ(m.update(0.02), 0.02);
 }
 
@@ -188,9 +180,6 @@ TEST(HealthMonitor, ResetClears) {
 
 TEST(HealthMonitor, Validation) {
   HealthMonitorParams p;
-  p.ewma_alpha = 0.0;
-  EXPECT_THROW(HealthMonitor{p}, Error);
-  p = HealthMonitorParams{};
   p.clear = p.trip;
   EXPECT_THROW(HealthMonitor{p}, Error);
 }

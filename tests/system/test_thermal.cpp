@@ -97,15 +97,13 @@ TEST(Thermal, RejectedPowerMapLeavesPreviousMapApplied) {
   EXPECT_EQ(g.temperature(0).value(), before);
 }
 
-TEST(Thermal, RejectsNonPhysicalLateralConductance) {
-  ThermalGridParams p;
-  p.k_silicon_w_per_mk = 0.0;
-  EXPECT_THROW(ThermalGrid{p}, Error);
-  p.k_silicon_w_per_mk = -120.0;
-  EXPECT_THROW(ThermalGrid{p}, Error);
-  p = ThermalGridParams{};
-  p.die_thickness = Meters{0.0};
-  EXPECT_THROW(ThermalGrid{p}, Error);
+TEST(Thermal, RejectsNonFiniteAmbient) {
+  // A NaN ambient would turn every tile temperature NaN.
+  for (const double t : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    ThermalGridParams p;
+    p.ambient = Celsius{t};
+    EXPECT_THROW(ThermalGrid{p}, Error);
+  }
 }
 
 TEST(Thermal, IndexValidation) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace dh::sched {
@@ -83,6 +85,22 @@ TEST(Workload, Validation) {
   p = WorkloadParams{};
   p.duty = 0.0;
   EXPECT_THROW(Workload{p}, Error);
+}
+
+TEST(Workload, RejectsBurstSwitchProbOutsideUnitInterval) {
+  // 1.5 would flip the burst state every step and NaN never.
+  for (const double prob : {1.5, -0.1, std::nan("")}) {
+    WorkloadParams p;
+    p.kind = WorkloadKind::kBursty;
+    p.burst_switch_prob = prob;
+    EXPECT_THROW(Workload{p}, Error);
+  }
+  for (const double prob : {0.0, 1.0}) {
+    WorkloadParams p;
+    p.kind = WorkloadKind::kBursty;
+    p.burst_switch_prob = prob;
+    EXPECT_NO_THROW(Workload{p});
+  }
 }
 
 }  // namespace

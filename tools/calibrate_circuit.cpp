@@ -7,8 +7,7 @@ int main() {
   using namespace dh;
   using namespace dh::circuit;
 
-  AssistCircuitParams p;
-  AssistCircuit ac{p};
+  AssistCircuit ac;
 
   for (const auto mode :
        {AssistMode::kNormal, AssistMode::kEmActiveRecovery,
@@ -21,9 +20,7 @@ int main() {
 
   std::printf("\nFig10: load size sweep\n");
   for (int n = 1; n <= 5; ++n) {
-    AssistCircuitParams q;
-    q.load_units = n;
-    AssistCircuit a2{q};
+    AssistCircuit a2{n};
     const double delay = a2.normalized_load_delay(AssistMode::kNormal);
     const double tsw =
         a2.switching_time(AssistMode::kNormal, AssistMode::kEmActiveRecovery)
