@@ -24,7 +24,7 @@
 
 namespace dh::ckpt {
 
-inline constexpr std::uint32_t kSchemaVersion = 3;
+inline constexpr std::uint32_t kSchemaVersion = 4;
 inline constexpr char kMagic[4] = {'D', 'H', 'C', 'K'};
 
 struct SnapshotHeader {

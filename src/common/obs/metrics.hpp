@@ -2,10 +2,10 @@
 //
 // Nothing under src/ reads this flag: the library keeps its counts on the
 // objects that own them (`PdnGrid::solve_stats`, `AgingPdn::stats`,
-// `ThermalGrid::solve_stats`, `SystemSimulator::summary`) and emits
-// events only through the JSONL trace (common/obs/trace.hpp). The flag
-// stays so that callers which switch it (the repository benchmark's obs
-// pricing) keep building; switching it changes no result and no cost.
+// `SystemSimulator::summary`) and emits events only through the JSONL
+// trace (common/obs/trace.hpp). The flag stays so that callers which
+// switch it (the repository benchmark's obs pricing) keep building;
+// switching it changes no result and no cost.
 #pragma once
 
 namespace dh::obs {

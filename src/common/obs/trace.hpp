@@ -1,7 +1,7 @@
 // Structured event tracing: timestamped, categorized events with numeric
 // fields, written through a pluggable TraceSink. The stock sink is JSONL —
 // one self-contained object per line, so a trace survives crashes up to
-// the last flushed line and tools/trace_report can stream-parse it.
+// the last flushed line and any JSON tool (jq, grep) can read it.
 //
 // Off by default and zero-overhead when off: call sites guard with
 // `if (obs::trace_enabled())`, a single relaxed atomic load, so no event

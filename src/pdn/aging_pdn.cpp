@@ -28,7 +28,6 @@ AgingPdn::AgingPdn(PdnParams pdn_params, em::EmMaterialParams material)
 
 void AgingPdn::step(std::span<const double> load_amps, Celsius temperature,
                     Seconds dt, bool em_recovery_mode) {
-  last_temp_ = temperature;
   // Refresh aged resistances at this temperature.
   for (std::size_t s = 0; s < grid_.segment_count(); ++s) {
     segment_r_[s] = segment_em_[s]
@@ -90,7 +89,6 @@ void AgingPdn::save_state(ckpt::Serializer& s) const {
   s.write_f64_vec(last_.segment_current);
   s.write_f64(last_.worst_drop_v);
   s.write_u64(last_.worst_node);
-  s.write_f64(last_temp_.value());
   s.write_f64(elapsed_s_);
   grid_.save_cache(s);
 }
@@ -110,7 +108,6 @@ void AgingPdn::load_state(ckpt::Deserializer& d) {
   last_.segment_current = d.read_f64_vec();
   last_.worst_drop_v = d.read_f64();
   last_.worst_node = static_cast<std::size_t>(d.read_u64());
-  last_temp_ = Celsius{d.read_f64()};
   elapsed_s_ = d.read_f64();
   grid_.load_cache(d);
 }

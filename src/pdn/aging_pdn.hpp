@@ -60,7 +60,6 @@ class AgingPdn {
   std::vector<double> segment_r_;
   std::vector<bool> immortal_;
   PdnSolution last_;
-  Celsius last_temp_{20.0};
   double elapsed_s_ = 0.0;
 };
 

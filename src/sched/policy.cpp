@@ -4,10 +4,21 @@
 #include <cmath>
 
 #include "common/ckpt/serialize.hpp"
+#include "common/error.hpp"
 
 namespace dh::sched {
 
 namespace {
+
+// The factories check their parameters, so a bad one fails where it is set
+// rather than as a NaN rotation index or a schedule that never recovers.
+void require_period(Seconds period, const std::string& what) {
+  DH_REQUIRE(std::isfinite(period.value()) && period.value() > 0.0,
+             what + " must be finite and > 0");
+}
+void require_fraction(double x, const std::string& what) {
+  DH_REQUIRE(x >= 0.0 && x <= 1.0, what + " must lie in [0, 1]");
+}
 
 class NoRecoveryPolicy final : public RecoveryPolicy {
  public:
@@ -161,14 +172,22 @@ std::unique_ptr<RecoveryPolicy> make_passive_idle_policy() {
 }
 std::unique_ptr<RecoveryPolicy> make_periodic_active_policy(
     PeriodicPolicyParams params) {
+  require_period(params.period, "period");
+  require_fraction(params.bti_recovery_fraction, "bti_recovery_fraction");
+  require_fraction(params.em_recovery_duty, "em_recovery_duty");
   return std::make_unique<PeriodicActivePolicy>(params);
 }
 std::unique_ptr<RecoveryPolicy> make_adaptive_sensor_policy(
     AdaptivePolicyParams params) {
+  DH_REQUIRE(params.release.value() <= params.threshold.value(),
+             "release must not exceed threshold");
+  require_fraction(params.em_recovery_duty, "em_recovery_duty");
   return std::make_unique<AdaptiveSensorPolicy>(params);
 }
 std::unique_ptr<RecoveryPolicy> make_dark_silicon_policy(
     RotationPolicyParams params) {
+  require_period(params.rotation_period, "rotation_period");
+  require_fraction(params.em_recovery_duty, "em_recovery_duty");
   return std::make_unique<DarkSiliconPolicy>(params);
 }
 

@@ -60,6 +60,9 @@ class RecoveryPolicy {
 /// The paper's scheduled "push-pull" recovery: within every period, the
 /// trailing `recovery_fraction` is spent in BTI active recovery, and EM
 /// active recovery alternates on a duty cycle during operation.
+///
+/// Every factory below throws dh::Error for a period that is not finite
+/// and > 0, a fraction or duty outside [0, 1], or `release > threshold`.
 struct PeriodicPolicyParams {
   Seconds period{hours(48.0)};
   double bti_recovery_fraction = 0.25;

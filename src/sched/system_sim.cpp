@@ -208,10 +208,9 @@ void SystemSimulator::step() {
   ir_drop_trace_.append(Seconds{now_s_}, ir_drop_v);
   temperature_trace_.append(Seconds{now_s_}, max_temp_c);
 
-  // Telemetry: the per-quantum policy action and health picture. The
-  // recovery_quanta definition (any core in BTI active recovery, or the
-  // grid in EM recovery mode) is shared verbatim by recovery_quanta(),
-  // the trace fields, and trace_report's reconstruction.
+  // Telemetry: the per-quantum policy action and health picture. A quantum
+  // counts towards recovery_quanta() when any core is in BTI active
+  // recovery or the grid is in EM recovery mode; the event carries both.
   std::size_t recovery_cores = 0;
   std::size_t running_cores = 0;
   for (const CoreAction a : decision.actions) {
@@ -222,12 +221,6 @@ void SystemSimulator::step() {
       recovery_cores > 0 || decision.em_recovery_mode;
   if (recovering) ++recovery_quanta_;
   if (obs::trace_enabled()) {
-    if (recovering && !was_recovering_) {
-      obs::trace_event_at(
-          "sim", "recovery_enter", now_s_,
-          {{"recovery_cores", static_cast<double>(recovery_cores)},
-           {"em_recovery", decision.em_recovery_mode ? 1.0 : 0.0}});
-    }
     obs::trace_event_at(
         "sim", "quantum", now_s_,
         {{"worst_deg", worst_deg},
@@ -238,7 +231,6 @@ void SystemSimulator::step() {
          {"em_recovery", decision.em_recovery_mode ? 1.0 : 0.0},
          {"demand", demanded}});
   }
-  was_recovering_ = recovering;
 }
 
 void SystemSimulator::run(Seconds lifetime) {
@@ -306,7 +298,6 @@ void SystemSimulator::save_state(ckpt::Serializer& s) const {
   s.write_f64(first_failure_s_);
   s.write_u64(steps_);
   s.write_u64(recovery_quanta_);
-  s.write_bool(was_recovering_);
   s.write_f64_vec(last_good_sensor_);
   ckpt::save_engine(s, rng_.engine());
   for (const Core& c : cores_) c.save_state(s);
@@ -339,7 +330,6 @@ void SystemSimulator::load_state(ckpt::Deserializer& d) {
   first_failure_s_ = d.read_f64();
   steps_ = static_cast<std::size_t>(d.read_u64());
   recovery_quanta_ = static_cast<std::size_t>(d.read_u64());
-  was_recovering_ = d.read_bool();
   now_s_ = static_cast<double>(steps_) * params_.quantum.value();
   last_good_sensor_ = d.read_f64_vec();
   DH_REQUIRE(last_good_sensor_.size() == cores_.size(),

@@ -102,9 +102,9 @@ class SystemSimulator {
 
   /// Quanta in which active recovery was in flight (any core in BTI
   /// active recovery, or the grid in EM recovery mode) — makes schedules
-  /// like Fig. 4's 1h:1h duty cycle directly auditable. Stamped on every
-  /// `sim/quantum` trace event, so tools/trace_report reproduces it
-  /// exactly from a recorded trace.
+  /// like Fig. 4's 1h:1h duty cycle directly auditable. Every `sim/quantum`
+  /// trace event carries the `recovery_cores` and `em_recovery` fields it
+  /// is counted from.
   [[nodiscard]] std::size_t recovery_quanta() const {
     return recovery_quanta_;
   }
@@ -147,7 +147,6 @@ class SystemSimulator {
   std::size_t steps_ = 0;
   std::size_t recovery_quanta_ = 0;
   std::size_t sensor_rejections_ = 0;
-  bool was_recovering_ = false;  // edge detector for recovery_enter events
   double guardband_ = 0.0;
   double first_failure_s_ = -1.0;
   // Per-quantum buffers, sized once in the constructor so step() does not

@@ -53,9 +53,7 @@ ThermalGrid::ThermalGrid(ThermalGridParams params)
     : params_(validated(params)),
       steady_(conductance(params_)),
       power_(tile_count(), 0.0),
-      temp_rise_(tile_count(), 0.0) {
-  ++stats_.factorizations;
-}
+      temp_rise_(tile_count(), 0.0) {}
 
 std::size_t ThermalGrid::index(std::size_t row, std::size_t col) const {
   DH_REQUIRE(row < params_.rows && col < params_.cols,
@@ -82,7 +80,6 @@ void ThermalGrid::set_power_map(std::span<const double> watts) {
 }
 
 void ThermalGrid::solve_steady() {
-  ++stats_.steady_solves;
   temp_rise_ = steady_.solve(power_);
 }
 
@@ -107,8 +104,6 @@ void ThermalGrid::save_state(ckpt::Serializer& s) const {
   s.begin_section("THRM");
   s.write_f64_vec(power_);
   s.write_f64_vec(temp_rise_);
-  s.write_u64(stats_.steady_solves);
-  s.write_u64(stats_.factorizations);
 }
 
 void ThermalGrid::load_state(ckpt::Deserializer& d) {
@@ -119,8 +114,6 @@ void ThermalGrid::load_state(ckpt::Deserializer& d) {
              "thermal snapshot tile count does not match this grid");
   power_ = std::move(power);
   temp_rise_ = std::move(temp_rise);
-  stats_.steady_solves = static_cast<std::size_t>(d.read_u64());
-  stats_.factorizations = static_cast<std::size_t>(d.read_u64());
 }
 
 }  // namespace dh::thermal

@@ -31,13 +31,6 @@ struct ThermalGridParams {
   Celsius ambient{45.0};  // must be finite
 };
 
-/// Counters for the cached steady-state solver (mirrors PdnSolveStats).
-struct ThermalSolveStats {
-  std::size_t steady_solves = 0;
-  /// Factorizations built: one per grid, at construction.
-  std::size_t factorizations = 0;
-};
-
 class ThermalGrid {
  public:
   explicit ThermalGrid(ThermalGridParams params);
@@ -60,14 +53,9 @@ class ThermalGrid {
   [[nodiscard]] Celsius mean_temperature() const;
   [[nodiscard]] const ThermalGridParams& params() const { return params_; }
 
-  /// Counters for the cached solver.
-  [[nodiscard]] const ThermalSolveStats& solve_stats() const {
-    return stats_;
-  }
-
-  /// Checkpoint support. Saves the power map, temperature field and solve
-  /// counters; the factorization depends only on the parameters, so a
-  /// restored grid keeps the one it was constructed with.
+  /// Checkpoint support. Saves the power map and temperature field; the
+  /// factorization depends only on the parameters, so a restored grid
+  /// keeps the one it was constructed with.
   void save_state(ckpt::Serializer& s) const;
   void load_state(ckpt::Deserializer& d);
 
@@ -77,7 +65,6 @@ class ThermalGrid {
   math::sparse::SpdSolver steady_;
   std::vector<double> power_;
   std::vector<double> temp_rise_;  // above ambient
-  ThermalSolveStats stats_;
 };
 
 }  // namespace dh::thermal

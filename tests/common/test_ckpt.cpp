@@ -167,22 +167,25 @@ TEST_F(CkptTest, ForeignFileRejectedAsBadMagic) {
 }
 
 TEST_F(CkptTest, VersionSkewNamesBothVersions) {
-  const std::string p = path("skew.dhck");
-  write_snapshot(p, "unit_test", {1, 2, 3});
-  // Bump the on-disk schema version field (bytes 4..7, little-endian).
-  std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(4);
-  const std::uint32_t future = kSchemaVersion + 41;
-  f.write(reinterpret_cast<const char*>(&future), 4);
-  f.close();
-  EXPECT_FALSE(snapshot_valid(p, "unit_test"));
-  try {
-    (void)read_snapshot(p);
-    FAIL() << "expected dh::Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find(std::to_string(kSchemaVersion)), std::string::npos);
-    EXPECT_NE(msg.find(std::to_string(future)), std::string::npos);
+  // The previous schema (its sections differ) and a future one are both
+  // refused on the version field, before any payload is parsed.
+  for (const std::uint32_t other : {kSchemaVersion - 1, kSchemaVersion + 41}) {
+    const std::string p = path("skew.dhck");
+    write_snapshot(p, "unit_test", {1, 2, 3});
+    // Rewrite the on-disk schema version field (bytes 4..7, little-endian).
+    std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&other), 4);
+    f.close();
+    EXPECT_FALSE(snapshot_valid(p, "unit_test"));
+    try {
+      (void)read_snapshot(p);
+      FAIL() << "expected dh::Error for version " << other;
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::to_string(kSchemaVersion)), std::string::npos);
+      EXPECT_NE(msg.find(std::to_string(other)), std::string::npos);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -181,6 +182,55 @@ TEST_F(ObsTraceTest, FixedSeedRunsRecordIdenticalTraces) {
     // same event payloads bit-for-bit.
     EXPECT_EQ(strip_wall_ms(a[i]), strip_wall_ms(b[i])) << "line " << i;
   }
+}
+
+/// Keeps every event in memory, fields copied out of the emitter's frame.
+class CapturingSink : public obs::TraceSink {
+ public:
+  struct Captured {
+    std::string category;
+    std::string name;
+    std::map<std::string, double> fields;
+  };
+  explicit CapturingSink(std::vector<Captured>& out) : out_(out) {}
+  void write(const obs::TraceEvent& event) override {
+    Captured c{event.category, event.name, {}};
+    for (std::size_t i = 0; i < event.field_count; ++i) {
+      c.fields[event.fields[i].key] = event.fields[i].value;
+    }
+    out_.push_back(std::move(c));
+  }
+
+ private:
+  std::vector<Captured>& out_;
+};
+
+TEST_F(ObsTraceTest, QuantumEventsCountRecoveryQuanta) {
+  std::vector<CapturingSink::Captured> events;
+  obs::set_trace_sink(std::make_unique<CapturingSink>(events));
+  sched::SystemParams params;  // seed = 42
+  sched::SystemSimulator sim{params, sched::make_periodic_active_policy()};
+  // 10 days at 6 h quanta: several 48 h policy periods, so both BTI
+  // recovery windows and EM duty cycles appear in the trace.
+  constexpr std::size_t kQuanta = 40;
+  for (std::size_t i = 0; i < kQuanta; ++i) sim.step();
+  obs::set_trace_sink(nullptr);
+
+  std::size_t recovering = 0;
+  for (const auto& e : events) {
+    // Stepping emits sim/quantum and nothing else: a recovery edge is read
+    // off consecutive quanta, not traced as an event of its own.
+    ASSERT_EQ(e.category + "/" + e.name, "sim/quantum");
+    if (e.fields.at("recovery_cores") > 0.0 ||
+        e.fields.at("em_recovery") != 0.0) {
+      ++recovering;
+    }
+  }
+  EXPECT_EQ(events.size(), kQuanta);
+  EXPECT_EQ(recovering, sim.recovery_quanta());
+  // The schedule exercised recovery without recovering every quantum.
+  EXPECT_GT(sim.recovery_quanta(), 0u);
+  EXPECT_LT(sim.recovery_quanta(), kQuanta);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+
+#include "common/error.hpp"
 
 namespace dh::sched {
 namespace {
@@ -122,6 +125,46 @@ TEST(Policy, EmRecoveryDutyEngagesPeriodically) {
   }
   EXPECT_GT(em_steps, total / 10);
   EXPECT_LT(em_steps, total / 2);
+}
+
+TEST(Policy, FactoriesRejectInvalidParameters) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double period : {0.0, -3600.0, nan, inf}) {
+    EXPECT_THROW((void)make_periodic_active_policy({.period = Seconds{period}}),
+                 Error)
+        << "period " << period;
+    EXPECT_THROW(
+        (void)make_dark_silicon_policy({.rotation_period = Seconds{period}}),
+        Error)
+        << "rotation_period " << period;
+  }
+  for (const double f : {-0.1, 1.5, nan}) {
+    EXPECT_THROW(
+        (void)make_periodic_active_policy({.bti_recovery_fraction = f}), Error)
+        << "bti_recovery_fraction " << f;
+    EXPECT_THROW((void)make_periodic_active_policy({.em_recovery_duty = f}),
+                 Error)
+        << "periodic em_recovery_duty " << f;
+    EXPECT_THROW((void)make_adaptive_sensor_policy({.em_recovery_duty = f}),
+                 Error)
+        << "adaptive em_recovery_duty " << f;
+    EXPECT_THROW((void)make_dark_silicon_policy({.em_recovery_duty = f}),
+                 Error)
+        << "rotation em_recovery_duty " << f;
+  }
+  EXPECT_THROW((void)make_adaptive_sensor_policy(
+                   {.threshold = Volts{0.004}, .release = Volts{0.005}}),
+               Error);
+  EXPECT_THROW(
+      (void)make_adaptive_sensor_policy({.release = Volts{nan}}), Error);
+  // The closed ends stay legal: a whole-period recovery window, no or
+  // constant EM recovery, and a release equal to the threshold.
+  EXPECT_NO_THROW((void)make_periodic_active_policy(
+      {.bti_recovery_fraction = 1.0, .em_recovery_duty = 0.0}));
+  EXPECT_NO_THROW((void)make_dark_silicon_policy({.em_recovery_duty = 1.0}));
+  EXPECT_NO_THROW((void)make_adaptive_sensor_policy(
+      {.threshold = Volts{0.004}, .release = Volts{0.004}}));
 }
 
 }  // namespace
