@@ -3,6 +3,7 @@
 // and per-layer costs on the paper workloads are measured by perfbench/.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <vector>
 
 #include "circuit/assist.hpp"
@@ -13,6 +14,7 @@
 #include "em/compact_em.hpp"
 #include "em/em_sensor.hpp"
 #include "em/korhonen.hpp"
+#include "pdn/aging_pdn.hpp"
 #include "pdn/pdn_grid.hpp"
 #include "sched/core_model.hpp"
 #include "sched/system_sim.hpp"
@@ -118,6 +120,33 @@ void BM_CompactEmStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompactEmStep);
+
+// One step of Fig. 11's 8x8 local mesh at 230 C under its uniform 3 mA
+// node loads, in Fig. 11's protected protocol (36 min forward, then 24 min
+// in EM recovery mode): the cached IR solve plus the compact EM of every
+// mortal segment, all sharing one factor set. The mesh restarts fresh
+// every 192 h of simulated time, so the iterations sample nucleation,
+// growth, healing and breakage as one run does.
+void BM_AgingPdnStep(benchmark::State& state) {
+  const pdn::PdnParams p;  // the default 8x8 mesh
+  const std::vector<double> loads(p.rows * p.cols, 0.003);
+  constexpr std::size_t kRunSteps = 384;
+  std::optional<pdn::AgingPdn> mesh;
+  std::size_t step = 0;
+  for (auto _ : state) {
+    if (step % kRunSteps == 0) {
+      state.PauseTiming();
+      mesh.emplace(p, em::paper_calibrated_em_material());
+      state.ResumeTiming();
+    }
+    const bool reverse = step % 2 == 1;
+    mesh->step(loads, Celsius{230.0}, minutes(reverse ? 24.0 : 36.0),
+               reverse);
+    ++step;
+    benchmark::DoNotOptimize(mesh->last_solution().worst_drop_v);
+  }
+}
+BENCHMARK(BM_AgingPdnStep);
 
 void BM_ThermalSteadySolve(benchmark::State& state) {
   thermal::ThermalGridParams p;

@@ -27,7 +27,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
 
 CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
                    const SpdSolver& m, std::vector<double>& x,
-                   double rel_tolerance) {
+                   double rel_tolerance, CgScratch& scratch) {
   const std::size_t n = b.size();
   x.resize(n, 0.0);
   CgResult result;
@@ -37,12 +37,18 @@ CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
   const double target = rel_tolerance * b_norm + 1e-300;
   const std::size_t max_iter = 10 * n + 200;
 
-  std::vector<double> r(n), z, p(n), ap;
+  std::vector<double>& r = scratch.r;
+  std::vector<double>& z = scratch.z;
+  std::vector<double>& p = scratch.p;
+  std::vector<double>& ap = scratch.ap;
+  std::vector<double>& best_x = scratch.best_x;
+  r.resize(n);
+  p.resize(n);
   apply_a(x, ap);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
 
   double r_norm = norm2(r);
-  std::vector<double> best_x = x;
+  best_x.assign(x.begin(), x.end());
   double best_norm = r_norm;
   std::size_t last_gain_iter = 0;
 
@@ -72,7 +78,7 @@ CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
       if (r_norm < best_norm) {
         if (r_norm < 0.99 * best_norm) last_gain_iter = it;
         best_norm = r_norm;
-        best_x = x;
+        best_x.assign(x.begin(), x.end());
       }
       if (r_norm <= target) break;
       if (it - last_gain_iter >= kStagnationWindow) {
@@ -91,7 +97,7 @@ CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
     }
   }
 
-  x = std::move(best_x);
+  x.assign(best_x.begin(), best_x.end());
   // Recurred residuals drift from the true one near the rounding floor;
   // report (and judge convergence by) the actual ||b - A x||.
   apply_a(x, ap);

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -18,6 +19,15 @@ using LinearOp =
     std::function<void(std::span<const double>, std::vector<double>&)>;
 
 class SpdSolver;
+
+/// pcg_solve's work vectors, reused from call to call, so a solver that
+/// keeps one (reserved for its size) solves without allocating.
+struct CgScratch {
+  void reserve(std::size_t n) {
+    for (std::vector<double>* v : {&r, &z, &p, &ap, &best_x}) v->reserve(n);
+  }
+  std::vector<double> r, z, p, ap, best_x;
+};
 
 struct CgResult {
   std::size_t iterations = 0;
@@ -35,9 +45,9 @@ struct CgResult {
 /// rounding floor).
 /// Throws dh::Error when A or M is detected indefinite (p'Ap <= 0 or
 /// r'M^-1r < 0 — the SPD contract is broken, e.g. an asymmetric or
-/// negative-conductance assembly).
+/// negative-conductance assembly). `scratch` holds the work vectors.
 CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
                    const SpdSolver& m, std::vector<double>& x,
-                   double rel_tolerance);
+                   double rel_tolerance, CgScratch& scratch);
 
 }  // namespace dh::math::sparse

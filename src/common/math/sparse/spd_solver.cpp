@@ -34,7 +34,10 @@ constexpr double kRejectRelResidual = 1e-4;
 }  // namespace
 
 SpdSolver::SpdSolver(std::size_t n, std::size_t band)
-    : n_(n), band_(band), a_(n * (band + 1), 0.0), l_(a_.size(), 0.0) {}
+    : n_(n), band_(band), a_(n * (band + 1), 0.0), l_(a_.size(), 0.0) {
+  residual_.reserve(n);
+  cg_.reserve(n);
+}
 
 void SpdSolver::clear() { std::fill(a_.begin(), a_.end(), 0.0); }
 
@@ -133,22 +136,20 @@ void SpdSolver::multiply(std::span<const double> x,
   }
 }
 
-std::vector<double> SpdSolver::solve(std::span<const double> b,
-                                     SpdSolveInfo* info) const {
+void SpdSolver::solve(std::span<const double> b, std::vector<double>& x,
+                      SpdSolveInfo* info) {
   DH_REQUIRE(b.size() == n_, "SPD solve dimension mismatch");
   SpdSolveInfo local;
   const double b_norm = norm2(b);
   const auto relative = [b_norm](double r) {
     return b_norm > 0.0 ? r / b_norm : 0.0;
   };
-  std::vector<double> x;
   substitute(b, x);
   // Price the true residual (one O(n b) product, cheap next to the
   // back-substitution it follows).
-  std::vector<double> residual;
-  multiply(x, residual);
-  for (std::size_t i = 0; i < n_; ++i) residual[i] = b[i] - residual[i];
-  if (relative(norm2(residual)) > kAcceptRelResidual) {
+  multiply(x, residual_);
+  for (std::size_t i = 0; i < n_; ++i) residual_[i] = b[i] - residual_[i];
+  if (relative(norm2(residual_)) > kAcceptRelResidual) {
     // Ill-conditioned but solvable systems leave a rounding-sized gap a
     // direct factor cannot close in one sweep; iterative refinement (CG
     // on A preconditioned by the factor, warm-started from x) drives it
@@ -159,7 +160,7 @@ std::vector<double> SpdSolver::solve(std::span<const double> b,
         [this](std::span<const double> v, std::vector<double>& y) {
           multiply(v, y);
         },
-        b, *this, x, kAcceptRelResidual);
+        b, *this, x, kAcceptRelResidual, cg_);
     local.cg_iterations = res.iterations;
     if (!res.converged &&
         relative(res.residual_norm) > kRejectRelResidual) {
@@ -170,16 +171,16 @@ std::vector<double> SpdSolver::solve(std::span<const double> b,
     }
   }
   if (info != nullptr) *info = local;
-  return x;
 }
 
 bool SpdSolver::solve_drifted(const LinearOp& true_op,
                               std::span<const double> b,
                               std::vector<double>& x,
-                              SpdSolveInfo* info) const {
+                              SpdSolveInfo* info) {
   DH_REQUIRE(b.size() == n_, "SPD solve dimension mismatch");
   x.clear();
-  const CgResult res = pcg_solve(true_op, b, *this, x, kDriftRelTolerance);
+  const CgResult res =
+      pcg_solve(true_op, b, *this, x, kDriftRelTolerance, cg_);
   if (info != nullptr) info->cg_iterations = res.iterations;
   const double b_norm = norm2(b);
   const double relative = b_norm > 0.0 ? res.residual_norm / b_norm : 0.0;

@@ -28,7 +28,8 @@ struct SpdSolveInfo {
 class SpdSolver {
  public:
   /// An n x n zero matrix whose entries (i, j) satisfy |i - j| <= band.
-  /// All storage is sized here; stamping and factorizing reuse it.
+  /// All storage, solve scratch included, is sized here; stamping,
+  /// factorizing and solving reuse it.
   SpdSolver(std::size_t n, std::size_t band);
 
   /// Zeroes the matrix (the factor is stale until factorize()).
@@ -48,13 +49,17 @@ class SpdSolver {
   /// x = (L L^T)^-1 b by forward and back substitution with the factor.
   void substitute(std::span<const double> b, std::vector<double>& x) const;
 
-  /// Solves A x = b by back-substitution, refined by CG preconditioned
-  /// with the factor when the true relative residual exceeds 1e-10; the
-  /// iteration count lands in `info`. Throws dh::Error if refinement
-  /// stalls above 1e-4 — on an SPD system that means singular/ill-posed
-  /// input.
-  [[nodiscard]] std::vector<double> solve(std::span<const double> b,
-                                          SpdSolveInfo* info = nullptr) const;
+  /// Solves A x = b into `x` by back-substitution, refined by CG
+  /// preconditioned with the factor when the true relative residual
+  /// exceeds 1e-10; the iteration count lands in `info`. Throws dh::Error
+  /// if refinement stalls above 1e-4 — on an SPD system that means
+  /// singular/ill-posed input.
+  ///
+  /// Both solves work in scratch vectors owned by the solver, so once
+  /// they are sized neither allocates; that makes them non-reentrant: one
+  /// SpdSolver must not be solved from two threads at once.
+  void solve(std::span<const double> b, std::vector<double>& x,
+             SpdSolveInfo* info = nullptr);
 
   /// Solves `true_op x = b` where true_op is a *drifted* neighbour of the
   /// factorized matrix (the PDN cache's stale-factor mode): CG on the
@@ -64,7 +69,7 @@ class SpdSolver {
   [[nodiscard]] bool solve_drifted(const LinearOp& true_op,
                                    std::span<const double> b,
                                    std::vector<double>& x,
-                                   SpdSolveInfo* info = nullptr) const;
+                                   SpdSolveInfo* info = nullptr);
 
  private:
   /// Lower-band slot of entry (i, j), j <= i <= j + band.
@@ -79,6 +84,8 @@ class SpdSolver {
   std::size_t band_;
   std::vector<double> a_;  // lower band of A, (band_+1) per row
   std::vector<double> l_;  // lower band of its Cholesky factor, same layout
+  std::vector<double> residual_;  // solve()'s b - A x
+  CgScratch cg_;
 };
 
 }  // namespace dh::math::sparse

@@ -32,13 +32,35 @@ struct CompactEmParams {
   Celsius t_ref{230.0};
 };
 
+/// Everything one step needs that depends only on the temperature, `dt`
+/// and the calibration, never on the wire's state or current. Built by
+/// CompactEm::factors; valid for every CompactEm built from equal
+/// CompactEmParams.
+struct EmStepFactors {
+  Kelvin temperature{0.0};
+  double dt_s = 0.0;
+  EmKinetics kinetics;  // kT, kappa(T), e*Z*rho(T), D*e*Z*rho(T)
+  double sqrt_kappa = 0.0;
+  std::array<double, 3> pool_decay{};  // exp(-dt / tau_k(T))
+  double void_conversion = 0.0;        // 1 - exp(-fix_rate(T) * dt)
+};
+
 class CompactEm {
  public:
   explicit CompactEm(CompactEmParams params);
 
-  /// `dt` must be finite and non-negative; a rejected step changes
-  /// nothing.
+  /// `dt` must be finite and non-negative, and `j` finite; a rejected
+  /// step changes nothing. Same bits as step(j, factors(temperature, dt)),
+  /// but evaluates the void-phase factor only while a void is open.
   void step(AmpsPerM2 j, Celsius temperature, Seconds dt);
+  /// The factors of a step of `dt` at `temperature` (`dt` finite and
+  /// non-negative): one set serves every wire built from this one's
+  /// CompactEmParams.
+  [[nodiscard]] EmStepFactors factors(Celsius temperature, Seconds dt) const;
+  /// One step with precomputed factors from factors() of a CompactEm with
+  /// the same CompactEmParams. `j` must be finite; a rejected step changes
+  /// nothing.
+  void step(AmpsPerM2 j, const EmStepFactors& f);
   void reset();
 
   /// Approximate tensile stress at the currently stressed end (signed:
@@ -67,7 +89,18 @@ class CompactEm {
   void load_state(ckpt::Deserializer& d);
 
  private:
+  /// The pool and nucleation part of a step, then the void part (run
+  /// while a void is open): the only copy of the step arithmetic. Only
+  /// advance_void reads `f.void_conversion`.
+  void advance_pools(AmpsPerM2 j, const EmStepFactors& f);
+  void advance_void(AmpsPerM2 j, const EmStepFactors& f);
+  /// factors() without the void conversion.
+  [[nodiscard]] EmStepFactors pool_factors(Celsius temperature,
+                                           Seconds dt) const;
+  [[nodiscard]] double void_conversion(const EmStepFactors& f) const;
+
   CompactEmParams params_;
+  double kappa_ref_ = 0.0;         // kappa at t_ref
   std::array<double, 3> taus_{};   // pool time constants (s)
   std::array<double, 3> gains_{};  // pool saturation gains (Pa per unit G*sqrt..)
   std::array<double, 3> pools_{};  // pool states (Pa)

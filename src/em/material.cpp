@@ -22,28 +22,66 @@ constexpr double kAtomicVolumeM3 = constants::kCopperAtomicVolume;
 constexpr double kFixTau0S = 7.65e-7;
 constexpr ElectronVolts kFixEa{1.10};
 
+// Each formula below is written once; the per-temperature terms and the
+// per-call functions both go through these, so hoisting a term out of a
+// loop keeps every operand order and changes no bit.
+double thermal_energy_j(Kelvin t) {
+  return constants::kBoltzmannJ * t.value();
+}
+double kappa_of(double diffusivity, double kt_j) {
+  return diffusivity * kBulkModulusPa * kAtomicVolumeM3 / kt_j;
+}
+double wind_charge_of(double resistivity_ohm_m) {
+  return constants::kElementaryCharge * kZEff * resistivity_ohm_m;
+}
+double drift_charge_of(double diffusivity, double resistivity_ohm_m) {
+  return diffusivity * constants::kElementaryCharge * kZEff *
+         resistivity_ohm_m;
+}
+double force_of(double wind_charge, AmpsPerM2 j) {
+  return wind_charge * j.value() / kAtomicVolumeM3;
+}
+double velocity_of(double drift_charge, AmpsPerM2 j, double kt_j) {
+  return drift_charge * j.value() / kt_j;
+}
+
 }  // namespace
+
+double EmKinetics::driving_force(AmpsPerM2 j) const {
+  return force_of(wind_charge, j);
+}
+
+double EmKinetics::drift_velocity(AmpsPerM2 j) const {
+  return velocity_of(drift_charge, j, kt_j);
+}
 
 double EmMaterialParams::diffusivity(Kelvin t) const {
   return d0_m2_per_s * boltzmann_factor(kDiffusionEa, t);
 }
 
 double EmMaterialParams::kappa(Kelvin t) const {
-  const double kt_j = constants::kBoltzmannJ * t.value();
-  return diffusivity(t) * kBulkModulusPa * kAtomicVolumeM3 / kt_j;
+  return kappa_of(diffusivity(t), thermal_energy_j(t));
 }
 
 double EmMaterialParams::driving_force(double resistivity_ohm_m,
                                        AmpsPerM2 j) const {
-  return constants::kElementaryCharge * kZEff * resistivity_ohm_m *
-         j.value() / kAtomicVolumeM3;
+  return force_of(wind_charge_of(resistivity_ohm_m), j);
 }
 
 double EmMaterialParams::drift_velocity(Kelvin t, double resistivity_ohm_m,
                                         AmpsPerM2 j) const {
-  const double kt_j = constants::kBoltzmannJ * t.value();
-  return diffusivity(t) * constants::kElementaryCharge * kZEff *
-         resistivity_ohm_m * j.value() / kt_j;
+  return velocity_of(drift_charge_of(diffusivity(t), resistivity_ohm_m), j,
+                     thermal_energy_j(t));
+}
+
+EmKinetics EmMaterialParams::kinetics(Kelvin t,
+                                      double resistivity_ohm_m) const {
+  const double d = diffusivity(t);
+  const double kt_j = thermal_energy_j(t);
+  return EmKinetics{.kt_j = kt_j,
+                    .kappa = kappa_of(d, kt_j),
+                    .wind_charge = wind_charge_of(resistivity_ohm_m),
+                    .drift_charge = drift_charge_of(d, resistivity_ohm_m)};
 }
 
 double EmMaterialParams::fix_rate(Kelvin t) const {

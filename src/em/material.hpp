@@ -23,6 +23,22 @@ inline constexpr double kBreakVoidLengthM = 60e-9;
 /// the two reasons active recovery outpaces growth.
 inline constexpr double kSlitEfficiency = 0.35;
 
+/// The EM kinetics of one material in one wire at one temperature, each
+/// term evaluated once. CompactEm::factors keeps one per grid step and
+/// shares it across every segment; the results match driving_force,
+/// drift_velocity and kappa bit for bit.
+struct EmKinetics {
+  double kt_j = 0.0;          // kT (J)
+  double kappa = 0.0;         // Korhonen kappa (m^2/s)
+  double wind_charge = 0.0;   // e*Z*rho (C*Ohm*m)
+  double drift_charge = 0.0;  // D*e*Z*rho (C*Ohm*m^3/s)
+
+  /// G = (e*Z*rho)*j / Omega (Pa/m).
+  [[nodiscard]] double driving_force(AmpsPerM2 j) const;
+  /// v = (D*e*Z*rho)*j / kT (m/s).
+  [[nodiscard]] double drift_velocity(AmpsPerM2 j) const;
+};
+
 /// The two material values a population spreads per wire (bench
 /// em_population_ttf); the rest of the calibration is constants here and
 /// in material.cpp.
@@ -43,6 +59,9 @@ struct EmMaterialParams {
   /// Drift velocity of the void surface under pure electron wind (m/s).
   [[nodiscard]] double drift_velocity(Kelvin t, double resistivity_ohm_m,
                                       AmpsPerM2 j) const;
+  /// kT, kappa, e*Z*rho and D*e*Z*rho at temperature t in a wire of
+  /// resistivity `resistivity_ohm_m` (that wire's value at t).
+  [[nodiscard]] EmKinetics kinetics(Kelvin t, double resistivity_ohm_m) const;
   /// First-order immobilization rate at temperature t (1/s).
   [[nodiscard]] double fix_rate(Kelvin t) const;
   /// Critical Blech product 2*sigma_c*Omega/(e*Z*rho): below this j*L the

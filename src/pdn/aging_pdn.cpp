@@ -28,13 +28,19 @@ AgingPdn::AgingPdn(PdnParams pdn_params, em::EmMaterialParams material)
 
 void AgingPdn::step(std::span<const double> load_amps, Celsius temperature,
                     Seconds dt, bool em_recovery_mode) {
+  // Every segment was built from the same CompactEmParams (constructor),
+  // so one factor set, evaluated once per step, serves them all. Computed
+  // first, so a rejected dt changes nothing.
+  const em::EmStepFactors factors =
+      segment_em_.front().factors(temperature, dt);
+
   // Refresh aged resistances at this temperature.
   for (std::size_t s = 0; s < grid_.segment_count(); ++s) {
     segment_r_[s] = segment_em_[s]
                         .resistance(temperature)
                         .value();
   }
-  last_ = grid_.solve(load_amps, segment_r_);
+  grid_.solve(load_amps, segment_r_, last_);
 
   const double rho =
       grid_.params().segment_wire.resistivity_at(to_kelvin(temperature));
@@ -49,9 +55,14 @@ void AgingPdn::step(std::span<const double> load_amps, Celsius temperature,
     const double blech = std::abs(j.value()) * seg_len;
     immortal_[s] = blech < blech_crit;
     if (immortal_[s] && !segment_em_[s].void_open()) continue;
-    segment_em_[s].step(j, temperature, dt);
+    segment_em_[s].step(j, factors);
   }
   elapsed_s_ += dt.value();
+}
+
+const em::CompactEm& AgingPdn::segment_em(std::size_t s) const {
+  DH_REQUIRE(s < segment_em_.size(), "segment index out of range");
+  return segment_em_[s];
 }
 
 AgingPdnStats AgingPdn::stats() const {

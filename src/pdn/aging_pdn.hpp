@@ -32,13 +32,19 @@ class AgingPdn {
  public:
   AgingPdn(PdnParams pdn_params, em::EmMaterialParams material);
 
-  /// Advance the grid for `dt`: solve IR with the current (aged) segment
-  /// resistances, then age each mortal segment at its own current density.
-  /// `em_recovery_mode` reverses every segment current (assist circuitry).
+  /// Advance the grid for `dt` (finite, >= 0; a rejected dt changes
+  /// nothing): solve IR with the current (aged) segment resistances, then
+  /// age each mortal segment at its own current density, all with one
+  /// set of compact-EM factors for (temperature, dt). `em_recovery_mode`
+  /// reverses every segment current (assist circuitry). Once the first
+  /// step has sized the solution and solver buffers, a step allocates
+  /// nothing.
   void step(std::span<const double> load_amps, Celsius temperature,
             Seconds dt, bool em_recovery_mode = false);
 
   [[nodiscard]] const PdnGrid& grid() const { return grid_; }
+  /// Compact EM state of segment `s` (same order as the grid's segments).
+  [[nodiscard]] const em::CompactEm& segment_em(std::size_t s) const;
   [[nodiscard]] const PdnSolution& last_solution() const { return last_; }
   [[nodiscard]] AgingPdnStats stats() const;
   [[nodiscard]] Seconds elapsed() const { return Seconds{elapsed_s_}; }

@@ -89,16 +89,15 @@ math::Matrix PdnGrid::assemble_conductance(
   return g;
 }
 
-std::vector<double> PdnGrid::assemble_rhs(
-    std::span<const double> load_amps) const {
+void PdnGrid::assemble_rhs(std::span<const double> load_amps,
+                           std::vector<double>& rhs) const {
   const std::size_t n = node_count();
-  std::vector<double> rhs(n, 0.0);
+  rhs.assign(n, 0.0);
   const double g_pad = 1.0 / params_.pad_resistance.value();
   for (const std::size_t p : pads_) {
     rhs[p] += g_pad * params_.vdd.value();
   }
   for (std::size_t i = 0; i < n; ++i) rhs[i] -= load_amps[i];
-  return rhs;
 }
 
 void PdnGrid::check_inputs(
@@ -131,11 +130,8 @@ void PdnGrid::apply_conductance(std::span<const double> segment_resistance,
   for (const std::size_t p : pads_) y[p] += g_pad * x[p];
 }
 
-PdnSolution PdnGrid::finish_solution(
-    std::vector<double> node_voltage,
-    std::span<const double> segment_resistance) const {
-  PdnSolution sol;
-  sol.node_voltage = std::move(node_voltage);
+void PdnGrid::finish_solution(std::span<const double> segment_resistance,
+                              PdnSolution& sol) const {
   sol.segment_current.resize(segments_.size());
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const auto [a, b] = segments_[s];
@@ -143,6 +139,7 @@ PdnSolution PdnGrid::finish_solution(
         (sol.node_voltage[a] - sol.node_voltage[b]) / segment_resistance[s];
   }
   sol.worst_drop_v = 0.0;
+  sol.worst_node = 0;
   for (std::size_t i = 0; i < sol.node_voltage.size(); ++i) {
     const double drop = params_.vdd.value() - sol.node_voltage[i];
     if (drop > sol.worst_drop_v) {
@@ -150,7 +147,6 @@ PdnSolution PdnGrid::finish_solution(
       sol.worst_node = i;
     }
   }
-  return sol;
 }
 
 void PdnGrid::refactorize(
@@ -172,6 +168,14 @@ void PdnGrid::refactorize(
 
 PdnSolution PdnGrid::solve(std::span<const double> load_amps,
                            std::span<const double> segment_resistance) const {
+  PdnSolution sol;
+  solve(load_amps, segment_resistance, sol);
+  return sol;
+}
+
+void PdnGrid::solve(std::span<const double> load_amps,
+                    std::span<const double> segment_resistance,
+                    PdnSolution& out) const {
   check_inputs(load_amps, segment_resistance);
   ++solve_stats_.solves;
 
@@ -193,11 +197,11 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
     exact = true;
   }
 
-  const std::vector<double> rhs = assemble_rhs(load_amps);
-  std::vector<double> v;
+  assemble_rhs(load_amps, rhs_);
+  std::vector<double>& v = out.node_voltage;
   math::sparse::SpdSolveInfo info;
   if (exact) {
-    v = solver_.solve(rhs, &info);
+    solver_.solve(rhs_, v, &info);
   } else {
     // The factor describes slightly stale conductances; run CG against
     // the *true* operator (matrix-free) preconditioned by the stale
@@ -208,7 +212,7 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
         [&](std::span<const double> x, std::vector<double>& y) {
           apply_conductance(segment_resistance, x, y);
         },
-        rhs, v, &info);
+        rhs_, v, &info);
     solve_stats_.refinement_iterations += info.cg_iterations;
     if (!converged) {
       // Drift within tolerance but CG stalled (e.g. resistance jump
@@ -216,11 +220,11 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
       ++solve_stats_.fallback_refactorizations;
       refactorize(segment_resistance);
       solve_stats_.cg_iterations += info.cg_iterations;
-      v = solver_.solve(rhs, &info);
+      solver_.solve(rhs_, v, &info);
     }
   }
   solve_stats_.cg_iterations += info.cg_iterations;
-  return finish_solution(std::move(v), segment_resistance);
+  finish_solution(segment_resistance, out);
 }
 
 PdnSolution PdnGrid::solve_uncached(
@@ -228,8 +232,12 @@ PdnSolution PdnGrid::solve_uncached(
     std::span<const double> segment_resistance) const {
   check_inputs(load_amps, segment_resistance);
   const math::Matrix g = assemble_conductance(segment_resistance);
-  return finish_solution(math::solve_dense(g, assemble_rhs(load_amps)),
-                         segment_resistance);
+  std::vector<double> rhs;
+  assemble_rhs(load_amps, rhs);
+  PdnSolution sol;
+  sol.node_voltage = math::solve_dense(g, rhs);
+  finish_solution(segment_resistance, sol);
+  return sol;
 }
 
 AmpsPerM2 PdnGrid::current_density(double current_a) const {

@@ -100,6 +100,14 @@ class PdnGrid {
   /// The cache makes this method non-reentrant: a PdnGrid instance must
   /// not be solved from two threads at once (parallel sweeps give each
   /// task its own grid).
+  ///
+  /// Fills `out`, reusing its vectors: once they and the grid's scratch
+  /// are sized, a solve allocates nothing. A solve that throws leaves
+  /// `out` unspecified.
+  void solve(std::span<const double> load_amps,
+             std::span<const double> segment_resistance,
+             PdnSolution& out) const;
+  /// The same solve into a new PdnSolution.
   [[nodiscard]] PdnSolution solve(
       std::span<const double> load_amps,
       std::span<const double> segment_resistance) const;
@@ -138,15 +146,17 @@ class PdnGrid {
   /// finite and every segment resistance positive.
   void check_inputs(std::span<const double> load_amps,
                     std::span<const double> segment_resistance) const;
-  [[nodiscard]] std::vector<double> assemble_rhs(
-      std::span<const double> load_amps) const;
+  /// rhs = pad injection minus `load_amps`.
+  void assemble_rhs(std::span<const double> load_amps,
+                    std::vector<double>& rhs) const;
   /// y = G(segment_resistance) * x without forming the matrix.
   void apply_conductance(std::span<const double> segment_resistance,
                          std::span<const double> x,
                          std::vector<double>& y) const;
-  [[nodiscard]] PdnSolution finish_solution(
-      std::vector<double> node_voltage,
-      std::span<const double> segment_resistance) const;
+  /// Fills the segment currents and worst drop of `sol` from its node
+  /// voltages.
+  void finish_solution(std::span<const double> segment_resistance,
+                       PdnSolution& sol) const;
   /// Re-stamps the conductances into solver_ and factors them in place.
   /// A factorization that throws leaves the grid unfactored.
   void refactorize(std::span<const double> segment_resistance) const;
@@ -158,6 +168,7 @@ class PdnGrid {
   mutable math::sparse::SpdSolver solver_;
   mutable bool factored_ = false;
   mutable std::vector<double> solver_segment_r_;  // r when factorized
+  mutable std::vector<double> rhs_;               // solve() scratch
   mutable PdnSolveStats solve_stats_;
 };
 

@@ -23,26 +23,24 @@ void require_fraction(double x, const std::string& what) {
 class NoRecoveryPolicy final : public RecoveryPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "no-recovery"; }
-  [[nodiscard]] PolicyDecision decide(std::span<const CoreObservation> cores,
-                                      Seconds, Seconds, Rng&) override {
-    PolicyDecision d;
+  void decide_into(std::span<const CoreObservation> cores, Seconds, Seconds,
+                   Rng&, PolicyDecision& d) override {
     d.actions.assign(cores.size(), CoreAction::kRun);
-    return d;
+    d.em_recovery_mode = false;
   }
 };
 
 class PassiveIdlePolicy final : public RecoveryPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "passive-idle"; }
-  [[nodiscard]] PolicyDecision decide(std::span<const CoreObservation> cores,
-                                      Seconds, Seconds, Rng&) override {
-    PolicyDecision d;
-    d.actions.reserve(cores.size());
-    for (const auto& c : cores) {
-      d.actions.push_back(c.demanded_utilization > 0.01 ? CoreAction::kRun
-                                                        : CoreAction::kIdle);
+  void decide_into(std::span<const CoreObservation> cores, Seconds, Seconds,
+                   Rng&, PolicyDecision& d) override {
+    d.actions.resize(cores.size());
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      d.actions[i] = cores[i].demanded_utilization > 0.01 ? CoreAction::kRun
+                                                          : CoreAction::kIdle;
     }
-    return d;
+    d.em_recovery_mode = false;
   }
 };
 
@@ -52,20 +50,16 @@ class PeriodicActivePolicy final : public RecoveryPolicy {
   [[nodiscard]] std::string name() const override {
     return "periodic-active";
   }
-  [[nodiscard]] PolicyDecision decide(std::span<const CoreObservation> cores,
-                                      Seconds now, Seconds, Rng&) override {
-    PolicyDecision d;
+  void decide_into(std::span<const CoreObservation> cores, Seconds now,
+                   Seconds, Rng&, PolicyDecision& d) override {
     const double frac =
         std::fmod(now.value(), p_.period.value()) / p_.period.value();
     const bool recovery_window = frac >= 1.0 - p_.bti_recovery_fraction;
-    for (const auto& c : cores) {
-      if (recovery_window) {
-        d.actions.push_back(CoreAction::kBtiActiveRecovery);
-      } else {
-        d.actions.push_back(c.demanded_utilization > 0.01
-                                ? CoreAction::kRun
-                                : CoreAction::kBtiActiveRecovery);
-      }
+    d.actions.resize(cores.size());
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      d.actions[i] = !recovery_window && cores[i].demanded_utilization > 0.01
+                         ? CoreAction::kRun
+                         : CoreAction::kBtiActiveRecovery;
     }
     // EM recovery alternates during the operating window (the system stays
     // up in EM mode, so this costs only the mode-switch overhead).
@@ -73,7 +67,6 @@ class PeriodicActivePolicy final : public RecoveryPolicy {
     d.em_recovery_mode =
         !recovery_window &&
         std::fmod(op_frac * 10.0, 1.0) < p_.em_recovery_duty;
-    return d;
   }
 
  private:
@@ -86,13 +79,12 @@ class AdaptiveSensorPolicy final : public RecoveryPolicy {
   [[nodiscard]] std::string name() const override {
     return "adaptive-sensor";
   }
-  [[nodiscard]] PolicyDecision decide(std::span<const CoreObservation> cores,
-                                      Seconds now, Seconds dt,
-                                      Rng&) override {
+  void decide_into(std::span<const CoreObservation> cores, Seconds now,
+                   Seconds dt, Rng&, PolicyDecision& d) override {
     if (in_recovery_.size() != cores.size()) {
       in_recovery_.assign(cores.size(), false);
     }
-    PolicyDecision d;
+    d.actions.resize(cores.size());
     for (std::size_t i = 0; i < cores.size(); ++i) {
       const double dvth = cores[i].sensed_dvth.value();
       if (!in_recovery_[i] && dvth >= p_.threshold.value()) {
@@ -100,15 +92,14 @@ class AdaptiveSensorPolicy final : public RecoveryPolicy {
       } else if (in_recovery_[i] && dvth <= p_.release.value()) {
         in_recovery_[i] = false;
       }
-      d.actions.push_back(in_recovery_[i] ? CoreAction::kBtiActiveRecovery
-                          : cores[i].demanded_utilization > 0.01
-                              ? CoreAction::kRun
-                              : CoreAction::kIdle);
+      d.actions[i] = in_recovery_[i] ? CoreAction::kBtiActiveRecovery
+                     : cores[i].demanded_utilization > 0.01
+                         ? CoreAction::kRun
+                         : CoreAction::kIdle;
     }
     // Duty-cycled EM recovery, phase-locked to wall time.
     const double cycle = std::fmod(now.value() / dt.value(), 10.0);
     d.em_recovery_mode = cycle < 10.0 * p_.em_recovery_duty;
-    return d;
   }
 
   void save_state(ckpt::Serializer& s) const override {
@@ -131,10 +122,8 @@ class DarkSiliconPolicy final : public RecoveryPolicy {
   [[nodiscard]] std::string name() const override {
     return "dark-silicon-rotation";
   }
-  [[nodiscard]] PolicyDecision decide(std::span<const CoreObservation> cores,
-                                      Seconds now, Seconds dt,
-                                      Rng&) override {
-    PolicyDecision d;
+  void decide_into(std::span<const CoreObservation> cores, Seconds now,
+                   Seconds dt, Rng&, PolicyDecision& d) override {
     const std::size_t n = cores.size();
     const std::size_t spares = std::min(p_.spares, n > 1 ? n - 1 : 0);
     const auto rotation = static_cast<std::size_t>(
@@ -155,7 +144,6 @@ class DarkSiliconPolicy final : public RecoveryPolicy {
     }
     const double cycle = std::fmod(now.value() / dt.value(), 10.0);
     d.em_recovery_mode = cycle < 10.0 * p_.em_recovery_duty;
-    return d;
   }
 
  private:

@@ -39,9 +39,19 @@ class RecoveryPolicy {
  public:
   virtual ~RecoveryPolicy() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual PolicyDecision decide(
-      std::span<const CoreObservation> cores, Seconds now, Seconds dt,
-      Rng& rng) = 0;
+  /// Writes this quantum's decision into `out`: one action per core and
+  /// the grid mode. Reuses `out.actions`' storage, so a caller that keeps
+  /// one decision across quanta allocates nothing here.
+  virtual void decide_into(std::span<const CoreObservation> cores,
+                           Seconds now, Seconds dt, Rng& rng,
+                           PolicyDecision& out) = 0;
+  /// decide_into a new decision.
+  [[nodiscard]] PolicyDecision decide(std::span<const CoreObservation> cores,
+                                      Seconds now, Seconds dt, Rng& rng) {
+    PolicyDecision d;
+    decide_into(cores, now, dt, rng, d);
+    return d;
+  }
 
   /// Checkpoint support: serialize/restore internal decision state (e.g.
   /// hysteresis latches). Stateless policies keep the no-op defaults —

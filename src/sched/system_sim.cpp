@@ -86,6 +86,7 @@ SystemSimulator::SystemSimulator(SystemParams params,
   power_.resize(n);
   loads_.resize(n);
   temps_.resize(n);
+  decision_.actions.reserve(n);
   last_good_sensor_.assign(n, 0.0);
 }
 
@@ -120,7 +121,8 @@ void SystemSimulator::step() {
     obs_[i].temperature = thermal_.temperature(i);
     obs_[i].demanded_utilization = demand_[i];
   }
-  PolicyDecision decision = policy_->decide(obs_, Seconds{now_s_}, dt, rng_);
+  policy_->decide_into(obs_, Seconds{now_s_}, dt, rng_, decision_);
+  const PolicyDecision& decision = decision_;
   DH_REQUIRE(decision.actions.size() == n,
              "policy returned wrong action count");
 
@@ -165,13 +167,18 @@ void SystemSimulator::step() {
     temps_[i] = thermal_.temperature(i);
   }
   Core::step_all(cores_, decision.actions, util_, temps_, dt);
+  // Each core's degradation is read once; the cores do not change again
+  // this quantum, so stage 7's worst case reuses it.
   double delivered = 0.0;
   double demanded = 0.0;
+  double worst_deg = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
+    const double deg = cores_[i].degradation();
+    worst_deg = std::max(worst_deg, deg);
     demanded += demand_[i];
     if (decision.actions[i] == CoreAction::kRun) {
       // Throughput delivered scales with the aged clock.
-      delivered += util_[i] * (1.0 - cores_[i].degradation());
+      delivered += util_[i] * (1.0 - deg);
     }
     energy_j_ += power_[i] * dt.value();
   }
@@ -195,10 +202,6 @@ void SystemSimulator::step() {
   now_s_ = static_cast<double>(steps_) * dt.value();
   if (first_failure_s_ < 0.0 && pdn_.failed()) {
     first_failure_s_ = now_s_;
-  }
-  double worst_deg = 0.0;
-  for (const auto& c : cores_) {
-    worst_deg = std::max(worst_deg, c.degradation());
   }
   guardband_ = std::max(guardband_, worst_deg);
   temp_acc_ += thermal_.mean_temperature().value();

@@ -65,7 +65,9 @@ class SystemSimulator {
   SystemSimulator(SystemParams params,
                   std::unique_ptr<RecoveryPolicy> policy);
 
-  /// Advance one scheduling quantum.
+  /// Advance one scheduling quantum. Allocates nothing once the first
+  /// quantum has sized the solver buffers, unless a trace grows its
+  /// storage or tracing (DH_TRACE) is on.
   void step();
 
   /// Run until `lifetime` (finite, > 0) has elapsed. When the DH_CKPT_DIR
@@ -157,6 +159,7 @@ class SystemSimulator {
   std::vector<double> power_;
   std::vector<double> loads_;
   std::vector<Celsius> temps_;
+  PolicyDecision decision_;
   /// Last accepted per-core sensor reading — the substitute when a read
   /// comes back non-finite or absurd (a broken or very noisy sensor).
   std::vector<double> last_good_sensor_;

@@ -79,9 +79,7 @@ void ThermalGrid::set_power_map(std::span<const double> watts) {
   std::copy(watts.begin(), watts.end(), power_.begin());
 }
 
-void ThermalGrid::solve_steady() {
-  temp_rise_ = steady_.solve(power_);
-}
+void ThermalGrid::solve_steady() { steady_.solve(power_, temp_rise_); }
 
 Celsius ThermalGrid::temperature(std::size_t tile) const {
   DH_REQUIRE(tile < tile_count(), "tile index out of range");

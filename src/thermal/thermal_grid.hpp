@@ -45,7 +45,8 @@ class ThermalGrid {
   void set_power(std::size_t tile, Watts p);
   void set_power_map(std::span<const double> watts);
 
-  /// Steady-state temperatures for the current power map.
+  /// Steady-state temperatures for the current power map, solved in
+  /// place: allocates nothing.
   void solve_steady();
 
   [[nodiscard]] Celsius temperature(std::size_t tile) const;

@@ -88,14 +88,15 @@ TEST(SpdSolver, BandMultiplyMatchesDense) {
   easy.band.factorize();
   auto rhs = random_vector(20, rng);
   SpdSolveInfo info;
-  auto x = easy.band.solve(rhs, &info);
+  std::vector<double> x;
+  easy.band.solve(rhs, x, &info);
   EXPECT_EQ(info.cg_iterations, 0u);
   EXPECT_LT(relative_residual(easy.dense, x, rhs), 1e-14);
 
   Grid stiff = grid_laplacian(8, 8, 1e-9, &rng);
   stiff.band.factorize();
   rhs = random_vector(64, rng);
-  x = stiff.band.solve(rhs, &info);
+  stiff.band.solve(rhs, x, &info);
   EXPECT_GT(info.cg_iterations, 0u);
   const auto x_lu = solve_dense(stiff.dense, rhs);
   EXPECT_LT(relative_residual(stiff.dense, x, rhs),
@@ -144,8 +145,9 @@ TEST(Cg, ZeroRhsReturnsZeroInZeroIterations) {
   const LinearOp op = [&](std::span<const double> v,
                           std::vector<double>& y) { y = g.dense.multiply(v); };
   std::vector<double> x;
-  const CgResult res =
-      pcg_solve(op, std::vector<double>(16, 0.0), g.band, x, 1e-13);
+  CgScratch scratch;
+  const CgResult res = pcg_solve(op, std::vector<double>(16, 0.0), g.band, x,
+                                 1e-13, scratch);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0u);
   for (const double v : x) EXPECT_EQ(v, 0.0);
@@ -162,8 +164,10 @@ TEST(Cg, IndefiniteOperatorRaisesCurvatureError) {
     y = {v[0], -2.0 * v[1]};
   };
   std::vector<double> x;
+  CgScratch scratch;
   try {
-    (void)pcg_solve(op, std::vector<double>{1.0, 1.0}, identity, x, 1e-13);
+    (void)pcg_solve(op, std::vector<double>{1.0, 1.0}, identity, x, 1e-13,
+                    scratch);
     FAIL() << "expected dh::Error for indefinite operator";
   } catch (const Error& e) {
     EXPECT_NE(std::string{e.what()}.find("positive definite"),
@@ -182,7 +186,8 @@ TEST(SpdSolver, AllMethodsAgreeWithDenseReference) {
     const auto x_ref = solve_dense(g.dense, rhs);
 
     g.band.factorize();
-    const auto x = g.band.solve(rhs);
+    std::vector<double> x;
+    g.band.solve(rhs, x);
     for (std::size_t i = 0; i < x.size(); ++i) {
       EXPECT_NEAR(x[i], x_ref[i], 1e-10) << rows << "x" << cols;
     }
@@ -204,7 +209,11 @@ TEST(SpdSolver, RestampingReusesTheSolver) {
   Grid fresh = grid_laplacian(5, 6, 0.7, &replay_b);
   fresh.band.factorize();
   const auto rhs = random_vector(30, rng);
-  EXPECT_EQ(reused.band.solve(rhs), fresh.band.solve(rhs));
+  std::vector<double> x_reused;
+  std::vector<double> x_fresh;
+  reused.band.solve(rhs, x_reused);
+  fresh.band.solve(rhs, x_fresh);
+  EXPECT_EQ(x_reused, x_fresh);
 }
 
 TEST(SpdSolver, IndefiniteRaisesDescriptiveError) {
@@ -232,7 +241,8 @@ TEST(SpdSolver, SingularRaisesDescriptiveErrorOnEveryPath) {
     try {
       Grid g = grid_laplacian(rows, cols, 0.0);
       g.band.factorize();
-      (void)g.band.solve(std::vector<double>(rows * cols, 1.0));
+      std::vector<double> x;
+      g.band.solve(std::vector<double>(rows * cols, 1.0), x);
       ADD_FAILURE() << rows << "x" << cols
                     << " ungrounded Laplacian must not solve";
     } catch (const Error& e) {

@@ -129,6 +129,65 @@ TEST(CompactEm, RejectsNonFiniteOrNegativeDt) {
   EXPECT_TRUE(std::isfinite(m.resistance(t).value()));
 }
 
+TEST(CompactEm, RejectsNonFiniteCurrentDensity) {
+  // A NaN density used to poison every pool for good: the same wire then
+  // ran 200 h at 8 MA/cm^2 and 230 C with a NaN end stress, no void and no
+  // break.
+  CompactEm m = make_compact();
+  const Celsius t{230.0};
+  for (const double j : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(m.step(AmpsPerM2{j}, t, hours(1.0)), Error);
+  }
+  EXPECT_EQ(m.end_stress().value(), 0.0);
+  for (int h = 0; h < 200 && !m.broken(); ++h) {
+    m.step(mega_amps_per_cm2(8.0), t, hours(1.0));
+  }
+  EXPECT_TRUE(m.broken());
+}
+
+TEST(CompactEm, FactoredStepRejectsWhatThePerCallStepRejects) {
+  CompactEm m = make_compact();
+  const Celsius t{230.0};
+  const EmStepFactors f = m.factors(t, hours(1.0));
+  EXPECT_THROW(m.step(AmpsPerM2{std::nan("")}, f), Error);
+  EXPECT_THROW(m.step(AmpsPerM2{HUGE_VAL}, f), Error);
+  EXPECT_EQ(m.end_stress().value(), 0.0);
+  for (const double dt : {HUGE_VAL, std::nan(""), -1.0}) {
+    EXPECT_THROW((void)m.factors(t, Seconds{dt}), Error);
+  }
+}
+
+TEST(CompactEm, FactoredStepMatchesPerCallStepBitForBit) {
+  // Forward and reverse windows at a temperature that moves every step,
+  // through nucleation, growth, immobilization and healing.
+  CompactEm per_call = make_compact();
+  CompactEm factored = make_compact();
+  bool opened = false;
+  bool closed_again = false;
+  for (int k = 0; k < 200; ++k) {
+    const Celsius t{225.0 + 10.0 * std::sin(0.3 * k)};
+    const Seconds dt = k % 17 == 5 ? Seconds{0.0} : minutes(20.0);
+    const AmpsPerM2 j = (k / 30) % 2 == 0
+                            ? paper_em_conditions::stress_density()
+                            : paper_em_conditions::reverse_density();
+    per_call.step(j, t, dt);
+    factored.step(j, factored.factors(t, dt));
+    ASSERT_EQ(factored.end_stress().value(), per_call.end_stress().value())
+        << k;
+    ASSERT_EQ(factored.void_length().value(),
+              per_call.void_length().value())
+        << k;
+    ASSERT_EQ(factored.fixed_void_length().value(),
+              per_call.fixed_void_length().value())
+        << k;
+    ASSERT_EQ(factored.void_open(), per_call.void_open()) << k;
+    opened = opened || per_call.void_open();
+    closed_again = closed_again || (opened && !per_call.void_open());
+  }
+  EXPECT_TRUE(closed_again);
+  EXPECT_GT(per_call.fixed_void_length().value(), 0.0);
+}
+
 TEST(CompactEm, InvalidTauRejected) {
   CompactEmParams p;
   p.wire = paper_wire();

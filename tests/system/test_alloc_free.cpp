@@ -1,0 +1,126 @@
+// Per-quantum steps that must not allocate once their buffers are sized:
+// AgingPdn::step, ThermalGrid::solve_steady and SystemSimulator::step.
+//
+// This binary replaces the global operator new with a counting one, so it
+// holds only these tests.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "em/material.hpp"
+#include "pdn/aging_pdn.hpp"
+#include "sched/policy.hpp"
+#include "sched/system_sim.hpp"
+#include "thermal/thermal_grid.hpp"
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// Not inlined: GCC would otherwise see free() called on the result of
+// operator new and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace dh {
+namespace {
+
+/// Allocations made by `f`.
+template <typename F>
+std::size_t allocations_in(F&& f) {
+  const std::size_t before = g_allocations.load();
+  f();
+  return g_allocations.load() - before;
+}
+
+TEST(AllocationFree, CountingOperatorNewSeesVectors) {
+  EXPECT_GT(allocations_in([] { std::vector<double> v(8, 1.0); }), 0u);
+}
+
+TEST(AllocationFree, AgingPdnStep) {
+  // Fig. 11's 8x8 mesh at 230 C, forward then reversed, on through
+  // nucleation: both the exact and the drift-refined solve run.
+  pdn::AgingPdn mesh{pdn::PdnParams{}, em::paper_calibrated_em_material()};
+  const std::vector<double> loads(mesh.grid().node_count(), 0.003);
+  mesh.step(loads, Celsius{230.0}, minutes(36.0), false);
+  for (int k = 0; k < 40; ++k) {
+    const bool reverse = k % 2 == 1;
+    EXPECT_EQ(allocations_in([&] {
+                mesh.step(loads, Celsius{230.0},
+                          minutes(reverse ? 24.0 : 36.0), reverse);
+              }),
+              0u)
+        << "step " << k;
+  }
+  EXPECT_GT(mesh.stats().nucleated_segments, 0u);
+  EXPECT_GT(mesh.grid().solve_stats().refinement_iterations, 0u);
+}
+
+TEST(AllocationFree, ThermalSolveSteady) {
+  thermal::ThermalGrid grid{thermal::ThermalGridParams{}};
+  for (std::size_t i = 0; i < grid.tile_count(); ++i) {
+    grid.set_power(i, Watts{1.0 + 0.1 * static_cast<double>(i)});
+  }
+  grid.solve_steady();
+  EXPECT_EQ(allocations_in([&] { grid.solve_steady(); }), 0u);
+}
+
+std::unique_ptr<sched::RecoveryPolicy> policy(std::size_t k) {
+  switch (k) {
+    case 0:
+      return sched::make_no_recovery_policy();
+    case 1:
+      return sched::make_passive_idle_policy();
+    case 2:
+      return sched::make_periodic_active_policy();
+    case 3:
+      return sched::make_adaptive_sensor_policy();
+    default:
+      return sched::make_dark_silicon_policy();
+  }
+}
+
+/// Fewest free slots across the simulator's three traces.
+std::size_t trace_room(const sched::SystemSimulator& sim) {
+  std::size_t room = SIZE_MAX;
+  for (const TimeSeries* ts :
+       {&sim.degradation_trace(), &sim.ir_drop_trace(),
+        &sim.temperature_trace()}) {
+    for (const std::vector<double>* v : {&ts->raw_times(), &ts->raw_values()}) {
+      room = std::min(room, v->capacity() - v->size());
+    }
+  }
+  return room;
+}
+
+TEST(AllocationFree, SystemSimulatorStepUnderEveryPolicy) {
+  constexpr std::size_t kSteps = 6;
+  for (std::size_t k = 0; k < 5; ++k) {
+    sched::SystemParams p;
+    p.core.dynamic_power_peak = Watts{2.2};
+    p.thermal.ambient = Celsius{55.0};
+    sched::SystemSimulator sim{p, policy(k)};
+    // The first quantum sizes every buffer; then step on until the traces
+    // hold room for the steps measured below.
+    sim.step();
+    while (trace_room(sim) < kSteps) sim.step();
+    for (std::size_t s = 0; s < kSteps; ++s) {
+      EXPECT_EQ(allocations_in([&] { sim.step(); }), 0u)
+          << sim.policy().name() << ", quantum " << s;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace dh
