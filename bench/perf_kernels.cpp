@@ -8,6 +8,7 @@
 
 #include "circuit/assist.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "device/bti_model.hpp"
 #include "device/calibration.hpp"
 #include "device/compact_bti.hpp"
@@ -18,6 +19,7 @@
 #include "pdn/pdn_grid.hpp"
 #include "sched/core_model.hpp"
 #include "sched/system_sim.hpp"
+#include "sram/sram_array.hpp"
 #include "thermal/thermal_grid.hpp"
 
 namespace {
@@ -95,6 +97,41 @@ void BM_CoreStepAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoreStepAll)->Arg(16);
+
+// One day of bench/sram_recovery_boost.cpp's array: static data, 95 C,
+// a 24 h hold step. BM_SramCellStepEach steps the cells one after another
+// (SramCell::step, the bits drawn as the array draws them);
+// BM_SramArrayStep steps them in lockstep (SramArray::step).
+constexpr Celsius kSramRetention{95.0};
+
+void BM_SramCellStepEach(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<sram::SramCell> cells(n);
+  Rng rng{sram::SramArrayParams{}.seed};
+  std::vector<bool> bits(n);
+  for (std::size_t i = 0; i < n; ++i) bits[i] = rng.bernoulli(0.5);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i) {
+      cells[i].step(sram::CellMode::kHold, bits[i], kSramRetention,
+                    hours(24.0));
+    }
+    benchmark::DoNotOptimize(cells.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SramCellStepEach)->Arg(64);
+
+void BM_SramArrayStep(benchmark::State& state) {
+  sram::SramArrayParams p;
+  p.cells = static_cast<std::size_t>(state.range(0));
+  sram::SramArray arr{p};
+  for (auto _ : state) {
+    arr.step(kSramRetention, hours(24.0));
+    benchmark::DoNotOptimize(&arr);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SramArrayStep)->Arg(64);
 
 void BM_KorhonenStep(benchmark::State& state) {
   em::KorhonenSolver solver{em::paper_wire(),

@@ -18,6 +18,11 @@ void TimeSeries::append(Seconds t, double value) {
   values_.push_back(value);
 }
 
+void TimeSeries::reserve(std::size_t n) {
+  times_.reserve(n);
+  values_.reserve(n);
+}
+
 Seconds TimeSeries::time_at(std::size_t i) const {
   DH_REQUIRE(i < times_.size(), "time series index out of range");
   return Seconds{times_[i]};

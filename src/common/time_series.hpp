@@ -26,6 +26,10 @@ class TimeSeries {
   /// Append a sample; time must be non-NaN and non-decreasing.
   void append(Seconds t, double value);
 
+  /// Make room for `n` samples in all, so appends up to then allocate
+  /// nothing.
+  void reserve(std::size_t n);
+
   [[nodiscard]] std::size_t size() const { return times_.size(); }
   [[nodiscard]] bool empty() const { return times_.empty(); }
 

@@ -192,8 +192,14 @@ void CompactBti::require_valid_dt(Seconds dt) {
              "(the substep count is an int)");
 }
 
+void CompactBti::require_valid_temperature(Celsius temperature) {
+  DH_REQUIRE(to_kelvin(temperature).value() > 0.0,
+             "absolute temperature must be positive");
+}
+
 void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
   require_valid_dt(dt);
+  require_valid_temperature(condition.temperature);
   if (dt.value() == 0.0) return;
   if (!condition.is_stress()) {
     recover(condition, dt.value(), fast_, slow_, pu_, pl_);
@@ -213,6 +219,7 @@ void CompactBti::apply_batch(std::span<const BtiJob> jobs) {
   for (const BtiJob& job : jobs) {
     DH_REQUIRE(job.device != nullptr, "batch job has no device");
     require_valid_dt(job.dt);
+    require_valid_temperature(job.condition.temperature);
   }
   DH_REQUIRE(distinct_devices(jobs), "a device appears twice in one batch");
 

@@ -141,32 +141,50 @@ std::vector<bool> LogicNetlist::evaluate(
 
 void LogicNetlist::age(LogicMode mode, Celsius temperature, Seconds dt,
                        const std::vector<bool>& idle_vector) {
+  // A negative or NaN dt would fail every kOperating interval's > 0 test
+  // and be skipped silently. Every interval is at most dt, so these
+  // checks clear every batch below before any device changes.
+  device::CompactBti::require_valid_dt(dt);
+  device::CompactBti::require_valid_temperature(temperature);
   const device::BtiCondition stress{kVdd, temperature};
   const device::BtiCondition rest{Volts{0.0}, temperature};
   const device::BtiCondition heal{kRecoveryBias, temperature};
 
+  jobs_.clear();
   switch (mode) {
     case LogicMode::kOperating: {
-      // Duty-cycle approximation: pull-up stressed while output is 1.
+      // Duty-cycle approximation: the pull-up is stressed while the
+      // output is 1 (dt*p) and rests while it is 0 (dt*(1-p)); the
+      // pull-down the other way round. Every stressed interval goes in
+      // the first batch and every rest interval in the second, which
+      // applies after: each device keeps its stress-then-rest order.
       const std::vector<double> p = signal_probabilities();
-      for (std::size_t i = 0; i < gates_.size(); ++i) {
-        if (gates_[i].kind == GateKind::kInput) continue;
-        const Seconds up{dt.value() * p[i]};
-        const Seconds down{dt.value() * (1.0 - p[i])};
-        if (up.value() > 0.0) gates_[i].pull_up.apply(stress, up);
-        if (down.value() > 0.0) gates_[i].pull_up.apply(rest, down);
-        if (down.value() > 0.0) gates_[i].pull_down.apply(stress, down);
-        if (up.value() > 0.0) gates_[i].pull_down.apply(rest, up);
+      for (const bool stressed : {true, false}) {
+        const device::BtiCondition& c = stressed ? stress : rest;
+        for (std::size_t i = 0; i < gates_.size(); ++i) {
+          Gate& g = gates_[i];
+          if (g.kind == GateKind::kInput) continue;
+          const Seconds high{dt.value() * p[i]};
+          const Seconds low{dt.value() * (1.0 - p[i])};
+          const Seconds up = stressed ? high : low;
+          const Seconds down = stressed ? low : high;
+          if (up.value() > 0.0) jobs_.push_back({&g.pull_up, c, up});
+          if (down.value() > 0.0) jobs_.push_back({&g.pull_down, c, down});
+        }
+        device::CompactBti::apply_batch(jobs_);
+        jobs_.clear();
       }
       break;
     }
     case LogicMode::kIdleVector: {
       const std::vector<bool> v = evaluate(idle_vector);
       for (std::size_t i = 0; i < gates_.size(); ++i) {
-        if (gates_[i].kind == GateKind::kInput) continue;
-        gates_[i].pull_up.apply(v[i] ? stress : rest, dt);
-        gates_[i].pull_down.apply(v[i] ? rest : stress, dt);
+        Gate& g = gates_[i];
+        if (g.kind == GateKind::kInput) continue;
+        jobs_.push_back({&g.pull_up, v[i] ? stress : rest, dt});
+        jobs_.push_back({&g.pull_down, v[i] ? rest : stress, dt});
       }
+      device::CompactBti::apply_batch(jobs_);
       break;
     }
     case LogicMode::kActiveRecovery: {

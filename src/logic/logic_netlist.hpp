@@ -54,7 +54,10 @@ class LogicNetlist {
       const std::vector<bool>& input_vector) const;
 
   /// Advance wearout for one quantum in the given mode. `idle_vector` is
-  /// required for kIdleVector.
+  /// required for kIdleVector. kOperating and kIdleVector step every
+  /// device in lockstep (CompactBti::apply_batch), with the same results
+  /// bit for bit as applying each device's intervals in turn. `dt` and
+  /// `temperature` are checked before any device changes.
   void age(LogicMode mode, Celsius temperature, Seconds dt,
            const std::vector<bool>& idle_vector = {});
 
@@ -88,6 +91,7 @@ class LogicNetlist {
 
   std::vector<Gate> gates_;
   std::vector<GateId> inputs_;
+  std::vector<device::BtiJob> jobs_;  // age's batch, kept between calls
 };
 
 /// A representative benchmark circuit: ISCAS-style c17 (6 NAND2) plus a

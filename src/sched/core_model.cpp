@@ -100,6 +100,9 @@ void Core::step_all(std::span<Core> cores,
              "step_all needs one action, utilization and temperature per "
              "core");
   for (const double u : utilization) require_utilization(u);
+  for (const Celsius t : temperatures) {
+    device::CompactBti::require_valid_temperature(t);
+  }
   // Every interval is dt, dt*u or dt*(1-u) with u in [0,1], never longer
   // than dt, so this one check clears every batch below before any core
   // changes.

@@ -38,9 +38,9 @@ class Core {
   /// Advance every core one quantum, with the same results bit for bit as
   /// `cores[i].step(actions[i], utilization[i], temperatures[i], dt)` for
   /// each i, but with all cores' BTI stepped in lockstep
-  /// (CompactBti::apply_batch). Every utilization and `dt` (which must
-  /// pass CompactBti::require_valid_dt) are checked before any core
-  /// changes. Allocates nothing.
+  /// (CompactBti::apply_batch). Every utilization, temperature and `dt`
+  /// (which must pass CompactBti::require_valid_dt) are checked before any
+  /// core changes. Allocates nothing.
   static void step_all(std::span<Core> cores,
                        std::span<const CoreAction> actions,
                        std::span<const double> utilization,

@@ -275,6 +275,11 @@ void SystemSimulator::run(Seconds lifetime) {
       load_checkpoint(ckpt_path);
     }
   }
+  // Every step appends one sample to each trace.
+  for (TimeSeries* ts :
+       {&degradation_trace_, &ir_drop_trace_, &temperature_trace_}) {
+    ts->reserve(target);
+  }
   while (steps_ < target) {
     step();
     if (every != 0 && steps_ % every == 0) {

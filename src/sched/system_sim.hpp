@@ -77,7 +77,8 @@ class SystemSimulator {
   /// [A-Za-z0-9._-] in the name become '_'), and — if a valid checkpoint
   /// for this configuration already exists and no steps have run yet —
   /// resumes from it bit-identically, so a killed run loses at most one
-  /// checkpoint interval.
+  /// checkpoint interval. The traces are sized for the whole run up
+  /// front, so its steps do not grow them.
   void run(Seconds lifetime);
 
   /// Checkpoint support: serialize the complete mutable state (cores,

@@ -1,6 +1,7 @@
 #include "sram/sram_array.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -18,6 +19,7 @@ SramArray::SramArray(SramArrayParams params)
   DH_REQUIRE(params_.cells >= 1, "array needs at least one cell");
   cells_.reserve(params_.cells);
   bits_.reserve(params_.cells);
+  jobs_.reserve(4 * params_.cells);  // two devices, hold and boost
   for (std::size_t i = 0; i < params_.cells; ++i) {
     cells_.emplace_back();
     bits_.push_back(rng_.bernoulli(kPOne));
@@ -28,25 +30,39 @@ void SramArray::step(Celsius temperature, Seconds dt,
                      double boost_fraction) {
   DH_REQUIRE(boost_fraction >= 0.0 && boost_fraction <= 1.0,
              "boost fraction must be in [0,1]");
+  // Checked before any bit is drawn: a negative or NaN dt would fail
+  // every interval's > 0 test below and be skipped silently. Both
+  // intervals are at most dt, so the batches cannot throw.
+  device::CompactBti::require_valid_dt(dt);
+  device::CompactBti::require_valid_temperature(temperature);
   const Seconds hold{dt.value() * (1.0 - boost_fraction)};
   const Seconds boost{dt.value() * boost_fraction};
-  // Data re-randomization stays serial (one shared stream, draw order is
-  // part of the array's deterministic behaviour); the per-cell aging
-  // physics is independent and runs over the pool.
+  // One shared stream; the draw order is part of the array's
+  // deterministic behaviour.
   if (params_.pattern == DataPattern::kFlipping) {
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       bits_[i] = rng_.bernoulli(kPOne);
     }
   }
-  parallel_for(cells_.size(), [&](std::size_t i) {
-    if (hold.value() > 0.0) {
-      cells_[i].step(CellMode::kHold, bits_[i], temperature, hold);
+  // Every hold interval goes in the first batch and every boost interval
+  // in the second, which applies after: each device keeps its
+  // hold-then-boost order.
+  jobs_.clear();
+  const auto add = [&](CellMode mode, Seconds interval) {
+    if (interval.value() <= 0.0) return;
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      for (const device::BtiJob& job :
+           cells_[i].jobs(mode, bits_[i], temperature, interval)) {
+        jobs_.push_back(job);
+      }
     }
-    if (boost.value() > 0.0) {
-      cells_[i].step(CellMode::kRecoveryBoost, bits_[i], temperature,
-                     boost);
-    }
-  });
+  };
+  add(CellMode::kHold, hold);
+  const std::size_t n_hold = jobs_.size();
+  add(CellMode::kRecoveryBoost, boost);
+  const std::span<const device::BtiJob> all{jobs_};
+  device::CompactBti::apply_batch(all.first(n_hold));
+  device::CompactBti::apply_batch(all.subspan(n_hold));
 }
 
 SramArrayHealth SramArray::scan_health() const {

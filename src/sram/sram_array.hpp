@@ -34,7 +34,11 @@ class SramArray {
   explicit SramArray(SramArrayParams params);
 
   /// Advance the whole array: `boost_fraction` of the quantum is spent in
-  /// recovery boost (cells idle), the rest holding data.
+  /// recovery boost (cells idle), the rest holding data. Every cell's
+  /// devices step in lockstep (CompactBti::apply_batch), with the same
+  /// results bit for bit as SramCell::step cell by cell. `dt` and
+  /// `temperature` are checked before any bit is drawn or any cell
+  /// changes. Allocates nothing.
   void step(Celsius temperature, Seconds dt, double boost_fraction = 0.0);
 
   /// Full-accuracy health scan (computes every cell's SNM; O(cells)
@@ -51,6 +55,7 @@ class SramArray {
   std::vector<SramCell> cells_;
   std::vector<bool> bits_;
   Rng rng_;
+  std::vector<device::BtiJob> jobs_;  // step's batch, sized once
 };
 
 }  // namespace dh::sram

@@ -24,22 +24,24 @@ static_assert(kVdd.value() > kPmosVth,
 
 void SramCell::step(CellMode mode, bool stored_bit, Celsius temperature,
                     Seconds dt) {
-  switch (mode) {
-    case CellMode::kHold: {
-      // The PMOS on the "1" side conducts: |Vsg| = VDD (NBTI stress).
-      const device::BtiCondition stressed{kVdd, temperature};
-      const device::BtiCondition resting{Volts{0.0}, temperature};
-      left_pmos_.apply(stored_bit ? stressed : resting, dt);
-      right_pmos_.apply(stored_bit ? resting : stressed, dt);
-      break;
-    }
-    case CellMode::kRecoveryBoost: {
-      const device::BtiCondition boost{kRecoveryBias, temperature};
-      left_pmos_.apply(boost, dt);
-      right_pmos_.apply(boost, dt);
-      break;
-    }
+  for (const device::BtiJob& job : jobs(mode, stored_bit, temperature, dt)) {
+    job.device->apply(job.condition, job.dt);
   }
+}
+
+std::array<device::BtiJob, 2> SramCell::jobs(CellMode mode, bool stored_bit,
+                                             Celsius temperature,
+                                             Seconds dt) {
+  if (mode == CellMode::kRecoveryBoost) {
+    const device::BtiCondition boost{kRecoveryBias, temperature};
+    return {{{&left_pmos_, boost, dt}, {&right_pmos_, boost, dt}}};
+  }
+  // Holding: the PMOS on the "1" side conducts, |Vsg| = VDD (NBTI
+  // stress).
+  const device::BtiCondition stressed{kVdd, temperature};
+  const device::BtiCondition resting{Volts{0.0}, temperature};
+  return {{{&left_pmos_, stored_bit ? stressed : resting, dt},
+           {&right_pmos_, stored_bit ? resting : stressed, dt}}};
 }
 
 Volts SramCell::left_pmos_dvth() const { return left_pmos_.delta_vth(); }
@@ -75,18 +77,22 @@ std::vector<double> inverter_vtc(Volts pmos_dvth, Volts nmos_dvth,
 
 namespace {
 
-/// Inverts a monotonically *decreasing* tabulated VTC: returns y with
-/// f(y) = x (clamped).
-double invert_decreasing(const std::vector<double>& xs,
-                         const std::vector<double>& fs, double target) {
+/// A monotonically *decreasing* tabulated VTC turned into its inverse:
+/// interp_linear(f, x, target) returns y with f(y) = target (clamped).
+struct InverseVtc {
+  std::vector<double> f;  // the curve's outputs, made strictly increasing
+  std::vector<double> x;  // its inputs, in the same (reversed) order
+};
+
+InverseVtc invert_decreasing(const std::vector<double>& xs,
+                             const std::vector<double>& fs) {
   // Reverse so the table is increasing in f.
-  std::vector<double> f_rev(fs.rbegin(), fs.rend());
-  std::vector<double> x_rev(xs.rbegin(), xs.rend());
+  InverseVtc inv{{fs.rbegin(), fs.rend()}, {xs.rbegin(), xs.rend()}};
   // Enforce strictly increasing f for the interpolator.
-  for (std::size_t i = 1; i < f_rev.size(); ++i) {
-    if (f_rev[i] <= f_rev[i - 1]) f_rev[i] = f_rev[i - 1] + 1e-12;
+  for (std::size_t i = 1; i < inv.f.size(); ++i) {
+    if (inv.f[i] <= inv.f[i - 1]) inv.f[i] = inv.f[i - 1] + 1e-12;
   }
-  return math::interp_linear(f_rev, x_rev, target);
+  return inv;
 }
 
 /// Largest square of side s that fits in the lobe where curve A
@@ -97,11 +103,13 @@ double lobe_square(const std::vector<double>& vin,
                    const std::vector<double>& f_a,
                    const std::vector<double>& f_b) {
   const double vmax = vin.back();
+  // Built once: every probe below reads the same inverse table.
+  const InverseVtc b_inv = invert_decreasing(vin, f_b);
   auto fits = [&](double s) {
     for (int k = 0; k <= 160; ++k) {
       const double x = (vmax - s) * k / 160.0;
       const double top = math::interp_linear(vin, f_a, x + s);
-      const double bottom = invert_decreasing(vin, f_b, x);
+      const double bottom = math::interp_linear(b_inv.f, b_inv.x, x);
       if (top - bottom >= s) return true;
     }
     return false;

@@ -11,6 +11,7 @@
 // curve — exactly the failure mode recovery boost targets.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "common/units.hpp"
@@ -32,6 +33,14 @@ class SramCell {
   /// is under NBTI stress; in recovery-boost mode both PMOS heal.
   void step(CellMode mode, bool stored_bit, Celsius temperature,
             Seconds dt);
+
+  /// The two PMOS intervals (left, then right) that `step` applies with
+  /// the same arguments, for stepping many cells in one
+  /// CompactBti::apply_batch.
+  [[nodiscard]] std::array<device::BtiJob, 2> jobs(CellMode mode,
+                                                   bool stored_bit,
+                                                   Celsius temperature,
+                                                   Seconds dt);
 
   /// Write the opposite bit (models data-flipping/rebalancing policies;
   /// free in this model — the stress side just changes on the next step).

@@ -208,6 +208,33 @@ TEST(CompactBti, BatchRejectsBadJobWithoutMutating) {
   check_unchanged();
 }
 
+TEST(CompactBti, BatchRejectsBadTemperatureWithoutMutating) {
+  // The temperature used to be checked only inside the job's own step, so
+  // earlier jobs had already moved: a stressed device's recoverable pools
+  // grew, or a recovering device healed, before the throw.
+  std::array<CompactBti, 2> d;
+  for (CompactBti& m : d) {
+    m.apply(paper_conditions::accelerated_stress(), hours(2.0));
+  }
+  const auto before = state_bytes(d[0]);
+  for (const BtiCondition& first : {paper_conditions::accelerated_stress(),
+                                    paper_conditions::recovery_no4()}) {
+    for (const double bad_c :
+         {std::numeric_limits<double>::quiet_NaN(), -300.0, -273.15}) {
+      const std::array<BtiJob, 2> jobs{
+          {{&d[0], first, hours(6.0)},
+           {&d[1], BtiCondition{Volts{1.2}, Celsius{bad_c}}, hours(6.0)}}};
+      EXPECT_THROW(CompactBti::apply_batch(jobs), Error) << bad_c;
+      for (const CompactBti& m : d) EXPECT_EQ(state_bytes(m), before) << bad_c;
+    }
+  }
+  // A single device rejects it too, even for an empty interval.
+  EXPECT_THROW(d[0].apply(BtiCondition{Volts{1.2}, Celsius{-300.0}},
+                          Seconds{0.0}),
+               Error);
+  EXPECT_EQ(state_bytes(d[0]), before);
+}
+
 TEST(CompactBti, BatchOfDtZeroIsNoOp) {
   std::array<CompactBti, 2> d;
   for (CompactBti& m : d) {

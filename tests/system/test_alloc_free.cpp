@@ -1,5 +1,7 @@
 // Per-quantum steps that must not allocate once their buffers are sized:
-// AgingPdn::step, ThermalGrid::solve_steady and SystemSimulator::step.
+// AgingPdn::step, ThermalGrid::solve_steady, SramArray::step and
+// SystemSimulator::step; and SystemSimulator::run, whose only allocations
+// size its traces.
 //
 // This binary replaces the global operator new with a counting one, so it
 // holds only these tests.
@@ -15,6 +17,7 @@
 #include "pdn/aging_pdn.hpp"
 #include "sched/policy.hpp"
 #include "sched/system_sim.hpp"
+#include "sram/sram_array.hpp"
 #include "thermal/thermal_grid.hpp"
 
 namespace {
@@ -76,6 +79,23 @@ TEST(AllocationFree, ThermalSolveSteady) {
   EXPECT_EQ(allocations_in([&] { grid.solve_steady(); }), 0u);
 }
 
+TEST(AllocationFree, SramArrayStep) {
+  for (const sram::DataPattern pattern :
+       {sram::DataPattern::kStatic, sram::DataPattern::kFlipping}) {
+    sram::SramArrayParams p;
+    p.pattern = pattern;
+    sram::SramArray arr{p};
+    arr.step(Celsius{95.0}, hours(24.0), 0.1);
+    for (const double boost_fraction : {0.0, 0.1, 1.0}) {
+      EXPECT_EQ(allocations_in([&] {
+                  arr.step(Celsius{95.0}, hours(24.0), boost_fraction);
+                }),
+                0u)
+          << "boost " << boost_fraction;
+    }
+  }
+}
+
 std::unique_ptr<sched::RecoveryPolicy> policy(std::size_t k) {
   switch (k) {
     case 0:
@@ -118,6 +138,29 @@ TEST(AllocationFree, SystemSimulatorStepUnderEveryPolicy) {
     for (std::size_t s = 0; s < kSteps; ++s) {
       EXPECT_EQ(allocations_in([&] { sim.step(); }), 0u)
           << sim.policy().name() << ", quantum " << s;
+    }
+  }
+}
+
+TEST(AllocationFree, SystemSimulatorRunOnlySizesItsTraces) {
+  // After the first quantum, a run to any later target allocates only the
+  // reserves of its three traces (times and values each), however many
+  // quanta it steps; before, the traces grew by doubling along the way.
+  constexpr std::size_t kTraceReserves = 6;
+  for (std::size_t k = 0; k < 5; ++k) {
+    for (const std::size_t quanta : {2u, 40u, 300u}) {
+      sched::SystemParams p;
+      p.core.dynamic_power_peak = Watts{2.2};
+      p.thermal.ambient = Celsius{55.0};
+      sched::SystemSimulator sim{p, policy(k)};
+      sim.step();
+      EXPECT_EQ(allocations_in([&] {
+                  sim.run(Seconds{p.quantum.value() *
+                                  static_cast<double>(quanta)});
+                }),
+                kTraceReserves)
+          << sim.policy().name() << ", " << quanta << " quanta";
+      EXPECT_EQ(sim.degradation_trace().size(), quanta);
     }
   }
 }

@@ -175,6 +175,16 @@ TEST(CoreModel, StepAllRejectsBadInputWithoutMutating) {
                dh::Error);
   check_unchanged();
   util.back() = 0.7;
+  // A bad temperature on the last core.
+  for (const double bad_c :
+       {std::numeric_limits<double>::quiet_NaN(), -300.0}) {
+    temps.back() = Celsius{bad_c};
+    EXPECT_THROW(Core::step_all(cores, actions, util, temps, hours(6.0)),
+                 dh::Error)
+        << bad_c;
+    check_unchanged();
+  }
+  temps.back() = Celsius{85.0};
   for (const double dt : {-1.0, std::numeric_limits<double>::infinity(),
                           std::numeric_limits<double>::quiet_NaN(), 1e13}) {
     EXPECT_THROW(Core::step_all(cores, actions, util, temps, Seconds{dt}),

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/math/interp.hpp"
+#include "common/rng.hpp"
 
 namespace dh::sram {
 namespace {
@@ -112,6 +118,99 @@ TEST(SramArrayAging, ScanAndProxyAgree) {
   const auto proxy = arr.worst_cell_health();
   EXPECT_NEAR(full.worst_snm.value(), proxy.worst_snm.value(), 0.01);
   EXPECT_GE(full.mean_snm.value(), full.worst_snm.value());
+}
+
+std::uint64_t bits_of(Volts v) {
+  return std::bit_cast<std::uint64_t>(v.value());
+}
+
+TEST(SramArrayAging, StepMatchesPerCellStepBitForBit) {
+  // SramArray::step against cell-by-cell SramCell::step, with the bits
+  // drawn from the array's seed in the array's order. 64 cells fill two
+  // rounds of the batch's lockstep lanes; 33 leave a partial one.
+  for (const std::size_t n : {std::size_t{64}, std::size_t{33}}) {
+    for (const DataPattern pattern :
+         {DataPattern::kStatic, DataPattern::kFlipping}) {
+      for (const double boost_fraction : {0.0, 0.1, 1.0}) {
+        SramArrayParams params;
+        params.cells = n;
+        params.pattern = pattern;
+        SramArray arr{params};
+        Rng rng{params.seed};
+        std::vector<bool> bits(n);
+        for (std::size_t i = 0; i < n; ++i) bits[i] = rng.bernoulli(0.5);
+        std::vector<SramCell> ref(n);
+        for (int step = 0; step < 12; ++step) {
+          const Seconds dt = step % 3 == 2 ? minutes(37.0) : hours(24.0);
+          const Celsius t{85.0 + 2.0 * step};
+          arr.step(t, dt, boost_fraction);
+          if (pattern == DataPattern::kFlipping) {
+            for (std::size_t i = 0; i < n; ++i) bits[i] = rng.bernoulli(0.5);
+          }
+          const Seconds hold{dt.value() * (1.0 - boost_fraction)};
+          const Seconds boost{dt.value() * boost_fraction};
+          for (std::size_t i = 0; i < n; ++i) {
+            if (hold.value() > 0.0) {
+              ref[i].step(CellMode::kHold, bits[i], t, hold);
+            }
+            if (boost.value() > 0.0) {
+              ref[i].step(CellMode::kRecoveryBoost, bits[i], t, boost);
+            }
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(bits_of(arr.cell(i).left_pmos_dvth()),
+                      bits_of(ref[i].left_pmos_dvth()))
+                << n << " cells, boost " << boost_fraction << ", step "
+                << step << ", cell " << i;
+            ASSERT_EQ(bits_of(arr.cell(i).right_pmos_dvth()),
+                      bits_of(ref[i].right_pmos_dvth()))
+                << n << " cells, boost " << boost_fraction << ", step "
+                << step << ", cell " << i;
+          }
+        }
+        if (boost_fraction < 1.0) {
+          EXPECT_GT(arr.worst_cell_health().worst_pmos_dvth.value(), 0.0);
+        }
+      }
+    }
+  }
+}
+
+TEST(SramArrayAging, RejectsBadStepBeforeDrawingOrAging) {
+  // A NaN or negative dt used to fail every interval's > 0 test and
+  // return normally, after a flipping array had drawn new bits.
+  SramArrayParams p;
+  p.cells = 8;
+  p.pattern = DataPattern::kFlipping;
+  SramArray arr{p};
+  SramArray twin{p};
+  arr.step(Celsius{95.0}, hours(24.0));
+  twin.step(Celsius{95.0}, hours(24.0));
+  const struct {
+    double t_c;
+    double dt_s;
+  } bad[] = {{95.0, std::numeric_limits<double>::quiet_NaN()},
+             {95.0, -3600.0},
+             {95.0, std::numeric_limits<double>::infinity()},
+             {std::numeric_limits<double>::quiet_NaN(), 3600.0},
+             {-300.0, 3600.0}};
+  for (const auto& b : bad) {
+    for (const double boost_fraction : {0.0, 0.5}) {
+      EXPECT_THROW(
+          arr.step(Celsius{b.t_c}, Seconds{b.dt_s}, boost_fraction), Error)
+          << b.t_c << " C, dt " << b.dt_s;
+    }
+  }
+  // Nothing moved and no bit was drawn: the next good step matches a
+  // twin that never saw the bad ones.
+  arr.step(Celsius{95.0}, hours(24.0));
+  twin.step(Celsius{95.0}, hours(24.0));
+  for (std::size_t i = 0; i < p.cells; ++i) {
+    EXPECT_EQ(bits_of(arr.cell(i).left_pmos_dvth()),
+              bits_of(twin.cell(i).left_pmos_dvth()));
+    EXPECT_EQ(bits_of(arr.cell(i).right_pmos_dvth()),
+              bits_of(twin.cell(i).right_pmos_dvth()));
+  }
 }
 
 TEST(SramArray, Validation) {
