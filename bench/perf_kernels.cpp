@@ -52,15 +52,22 @@ BENCHMARK(BM_CompactBtiStep);
 // temperature. BM_CoreStepEach steps the cores one after another
 // (Core::step, as perfbench's traced replay does); BM_CoreStepAll steps
 // them in lockstep (Core::step_all, as SystemSimulator::step does).
+// With `spread`, every core runs and the utilizations are spread over
+// (0, 1], as across Fig. 12's load kinds, so the stressed chains retire at
+// as many different step counts as there are cores.
 struct Fig12Quantum {
-  explicit Fig12Quantum(std::size_t n)
+  explicit Fig12Quantum(std::size_t n, bool spread = false)
       : cores(n, sched::Core{chip_core()}), actions(n), util(n), temps(n) {
     for (std::size_t i = 0; i < n; ++i) {
       const double x = static_cast<double>(i) / static_cast<double>(n);
-      const bool recovering = i % 4 == 3;
+      const bool recovering = !spread && i % 4 == 3;
       actions[i] = recovering ? sched::CoreAction::kBtiActiveRecovery
                               : sched::CoreAction::kRun;
-      util[i] = recovering ? 0.0 : 0.45 + 0.5 * x;
+      if (spread) {
+        util[i] = static_cast<double>(i + 1) / static_cast<double>(n);
+      } else {
+        util[i] = recovering ? 0.0 : 0.45 + 0.5 * x;
+      }
       temps[i] = Celsius{75.0 + 20.0 * x};
     }
   }
@@ -88,15 +95,16 @@ void BM_CoreStepEach(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreStepEach)->Arg(16);
 
-void BM_CoreStepAll(benchmark::State& state) {
-  Fig12Quantum q{static_cast<std::size_t>(state.range(0))};
+void BM_CoreStepAll(benchmark::State& state, bool spread) {
+  Fig12Quantum q{static_cast<std::size_t>(state.range(0)), spread};
   for (auto _ : state) {
     sched::Core::step_all(q.cores, q.actions, q.util, q.temps, q.dt);
     benchmark::DoNotOptimize(q.cores.data());
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_CoreStepAll)->Arg(16);
+BENCHMARK_CAPTURE(BM_CoreStepAll, fig12, false)->Arg(16);
+BENCHMARK_CAPTURE(BM_CoreStepAll, spread, true)->Arg(16);
 
 // One day of bench/sram_recovery_boost.cpp's array: static data, 95 C,
 // a 24 h hold step. BM_SramCellStepEach steps the cells one after another
@@ -145,6 +153,21 @@ void BM_KorhonenStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KorhonenStep);
+
+void BM_KorhonenStepAc(benchmark::State& state) {
+  em::KorhonenSolver solver{em::paper_wire(),
+                            em::paper_calibrated_em_material()};
+  // The current reverses every 30 s step: the matrix factor is reused and
+  // only the wind term is recomputed.
+  const double j = em::paper_em_conditions::stress_density().value();
+  double sign = 1.0;
+  for (auto _ : state) {
+    solver.step(AmpsPerM2{sign * j}, Celsius{105.0}, Seconds{30.0});
+    sign = -sign;
+    benchmark::DoNotOptimize(solver.stress_at(em::WireEnd::kStart));
+  }
+}
+BENCHMARK(BM_KorhonenStepAc);
 
 void BM_CompactEmStep(benchmark::State& state) {
   em::CompactEm model{em::CompactEmParams{

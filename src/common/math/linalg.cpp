@@ -92,42 +92,42 @@ std::vector<double> solve_dense(const Matrix& a, std::span<const double> b) {
   return LuFactorization{a}.solve(b);
 }
 
-std::vector<double> solve_tridiagonal(std::span<const double> lower,
-                                      std::span<const double> diag,
-                                      std::span<const double> upper,
-                                      std::span<const double> rhs) {
-  std::vector<double> x(diag.size());
-  TridiagonalWorkspace ws;
-  solve_tridiagonal(lower, diag, upper, rhs, x, ws);
-  return x;
-}
-
-void solve_tridiagonal(std::span<const double> lower,
-                       std::span<const double> diag,
-                       std::span<const double> upper,
-                       std::span<const double> rhs, std::span<double> x,
-                       TridiagonalWorkspace& ws) {
+void factor_tridiagonal(std::span<const double> lower,
+                        std::span<const double> diag,
+                        std::span<const double> upper, TridiagonalFactor& f) {
   const std::size_t n = diag.size();
   DH_REQUIRE(n >= 1, "tridiagonal system must be non-empty");
-  DH_REQUIRE(lower.size() == n - 1 && upper.size() == n - 1 &&
-                 rhs.size() == n && x.size() == n,
+  DH_REQUIRE(lower.size() == n - 1 && upper.size() == n - 1,
              "tridiagonal band sizes inconsistent");
-  ws.c_prime.resize(n);
-  ws.d_prime.resize(n);
-  double* const c_prime = ws.c_prime.data();
-  double* const d_prime = ws.d_prime.data();
+  f.lower.assign(lower.begin(), lower.end());
+  f.c_prime.resize(n - 1);
+  f.pivot.resize(n);
   DH_REQUIRE(std::abs(diag[0]) > 1e-300, "tridiagonal pivot underflow");
-  c_prime[0] = n > 1 ? upper[0] / diag[0] : 0.0;
-  d_prime[0] = rhs[0] / diag[0];
+  f.pivot[0] = diag[0];
+  if (n > 1) f.c_prime[0] = upper[0] / diag[0];
   for (std::size_t i = 1; i < n; ++i) {
-    const double denom = diag[i] - lower[i - 1] * c_prime[i - 1];
+    const double denom = diag[i] - lower[i - 1] * f.c_prime[i - 1];
     DH_REQUIRE(std::abs(denom) > 1e-300, "tridiagonal pivot underflow");
-    if (i < n - 1) c_prime[i] = upper[i] / denom;
-    d_prime[i] = (rhs[i] - lower[i - 1] * d_prime[i - 1]) / denom;
+    f.pivot[i] = denom;
+    if (i < n - 1) f.c_prime[i] = upper[i] / denom;
   }
-  x[n - 1] = d_prime[n - 1];
+}
+
+void solve_tridiagonal(const TridiagonalFactor& f,
+                       std::span<const double> rhs, std::span<double> x) {
+  const std::size_t n = f.pivot.size();
+  DH_REQUIRE(rhs.size() == n && x.size() == n,
+             "tridiagonal right-hand side size inconsistent");
+  const double* const lower = f.lower.data();
+  const double* const c_prime = f.c_prime.data();
+  const double* const pivot = f.pivot.data();
+  // x holds the forward-eliminated right-hand side, then the solution.
+  x[0] = rhs[0] / pivot[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    x[i] = (rhs[i] - lower[i - 1] * x[i - 1]) / pivot[i];
+  }
   for (std::size_t ii = n - 1; ii-- > 0;) {
-    x[ii] = d_prime[ii] - c_prime[ii] * x[ii + 1];
+    x[ii] = x[ii] - c_prime[ii] * x[ii + 1];
   }
 }
 

@@ -63,29 +63,27 @@ class LuFactorization {
 [[nodiscard]] std::vector<double> solve_dense(const Matrix& a,
                                               std::span<const double> b);
 
-/// Thomas algorithm for a tridiagonal system. `lower` has n-1 entries
-/// (sub-diagonal), `diag` n entries, `upper` n-1 entries. Overwrites
-/// nothing; returns the solution.
-[[nodiscard]] std::vector<double> solve_tridiagonal(
-    std::span<const double> lower, std::span<const double> diag,
-    std::span<const double> upper, std::span<const double> rhs);
-
-/// Caller-owned scratch for the in-place Thomas solve below, so repeated
-/// solves (e.g. every backward-Euler substep of every Korhonen wire)
-/// allocate nothing after the first call.
-struct TridiagonalWorkspace {
-  std::vector<double> c_prime;
-  std::vector<double> d_prime;
+/// Thomas-algorithm factor of a tridiagonal matrix: the sub-diagonal as
+/// given, the eliminated super-diagonal c' and the pivots. One factor
+/// serves any number of right-hand sides (e.g. every backward-Euler
+/// substep of a Korhonen wire whose matrix has not changed).
+struct TridiagonalFactor {
+  std::vector<double> lower;    // n-1 entries
+  std::vector<double> c_prime;  // n-1 entries
+  std::vector<double> pivot;    // n entries
 };
 
-/// In-place Thomas solve writing the solution into `x` (n entries).
-/// `x` may alias `rhs`; the band spans are read-only. Scratch comes from
-/// `ws`, grown on first use and reused afterwards.
-void solve_tridiagonal(std::span<const double> lower,
-                       std::span<const double> diag,
-                       std::span<const double> upper,
-                       std::span<const double> rhs, std::span<double> x,
-                       TridiagonalWorkspace& ws);
+/// Factors the matrix with sub-diagonal `lower` (n-1 entries), diagonal
+/// `diag` (n) and super-diagonal `upper` (n-1) into `f`, reusing its
+/// storage. Throws dh::Error on a pivot of magnitude <= 1e-300 (or NaN).
+void factor_tridiagonal(std::span<const double> lower,
+                        std::span<const double> diag,
+                        std::span<const double> upper, TridiagonalFactor& f);
+
+/// Forward and back substitution against `f`, writing the solution into
+/// `x` (n entries). `x` may alias `rhs`.
+void solve_tridiagonal(const TridiagonalFactor& f,
+                       std::span<const double> rhs, std::span<double> x);
 
 /// Euclidean norm.
 [[nodiscard]] double norm2(std::span<const double> v);

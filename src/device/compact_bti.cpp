@@ -98,15 +98,14 @@ inline PrecursorChain stress_prelude(const BtiCondition& condition,
   return PrecursorChain{.g = g, .h = dt / substeps, .substeps = substeps};
 }
 
-/// One forward-Euler substep of the precursor chain. The one copy of this
-/// arithmetic: apply and apply_batch both run it, so their results agree
-/// bit for bit.
-inline void precursor_substep(const PrecursorChain& c, double& pu,
-                              double& pl) {
+/// One forward-Euler substep of the precursor chain with generation rate
+/// `g` and step `h`. The one copy of this arithmetic: apply and
+/// apply_batch both run it, so their results agree bit for bit.
+inline void precursor_substep(double g, double h, double& pu, double& pl) {
   const double saturation = std::max(0.0, 1.0 - (pu + pl) / kPMaxV);
   const double lock_flux = kKLockPerVS * pu * pu;
-  pu += c.h * (c.g * saturation - lock_flux);
-  pl += c.h * lock_flux;
+  pu += h * (g * saturation - lock_flux);
+  pl += h * lock_flux;
   pu = std::max(pu, 0.0);
 }
 
@@ -127,42 +126,70 @@ inline void recover(const BtiCondition& condition, double dt, double& fast,
   pl *= std::exp(-dt * anneal * 1e-3);
 }
 
-/// A stressed device's precursor chain in apply_batch, with its state.
-struct Lane {
-  PrecursorChain chain;
-  double pu;
-  double pl;
-  double* pu_out;  // the device's state
-  double* pl_out;
+/// One round of apply_batch's stressed devices, one array per field so
+/// the substep loop over the lanes vectorizes. The lanes are kept in
+/// order of step count, longest first, so the chains that finish first
+/// are always the last live lanes.
+struct Lanes {
+  std::array<double, kLanes> g{};
+  std::array<double, kLanes> h{};
+  std::array<double, kLanes> pu{};
+  std::array<double, kLanes> pl{};
+  std::array<int, kLanes> substeps{};
+  std::array<double*, kLanes> pu_out{};  // the device's state
+  std::array<double*, kLanes> pl_out{};
+  std::size_t count = 0;
+
+  [[nodiscard]] bool full() const { return count == kLanes; }
+
+  /// Adds a chain behind every lane with at least as many steps.
+  void add(const PrecursorChain& c, double& pu_state, double& pl_state) {
+    std::size_t k = count++;
+    for (; k > 0 && substeps[k - 1] < c.substeps; --k) {
+      g[k] = g[k - 1];
+      h[k] = h[k - 1];
+      pu[k] = pu[k - 1];
+      pl[k] = pl[k - 1];
+      substeps[k] = substeps[k - 1];
+      pu_out[k] = pu_out[k - 1];
+      pl_out[k] = pl_out[k - 1];
+    }
+    g[k] = c.g;
+    h[k] = c.h;
+    pu[k] = pu_state;
+    pl[k] = pl_state;
+    substeps[k] = c.substeps;
+    pu_out[k] = &pu_state;
+    pl_out[k] = &pl_state;
+  }
+
+  /// Runs every chain to its own step count, all live chains one substep
+  /// at a time; a chain that is done writes its state back to its device
+  /// and leaves the live tail. Empties the round.
+  void advance() {
+    int done = 0;
+    std::size_t live = count;
+    while (live > 0) {
+      const int until = substeps[live - 1];
+      for (; done < until; ++done) {
+        for (std::size_t k = 0; k < live; ++k) {
+          precursor_substep(g[k], h[k], pu[k], pl[k]);
+        }
+      }
+      for (; live > 0 && substeps[live - 1] == until; --live) {
+        *pu_out[live - 1] = pu[live - 1];
+        *pl_out[live - 1] = pl[live - 1];
+      }
+    }
+    count = 0;
+  }
 };
 
-/// Runs every lane's chain to its own step count, all live chains one
-/// substep at a time, and writes each chain's state back to its device.
-void advance_lockstep(std::span<Lane> lanes) {
-  int done = 0;
-  std::size_t live = lanes.size();
-  while (live > 0) {
-    int until = lanes[0].chain.substeps;
-    for (std::size_t k = 1; k < live; ++k) {
-      until = std::min(until, lanes[k].chain.substeps);
-    }
-    for (; done < until; ++done) {
-      for (std::size_t k = 0; k < live; ++k) {
-        precursor_substep(lanes[k].chain, lanes[k].pu, lanes[k].pl);
-      }
-    }
-    // Retire the chains that are done and close the gaps.
-    std::size_t kept = 0;
-    for (std::size_t k = 0; k < live; ++k) {
-      if (lanes[k].chain.substeps == until) {
-        *lanes[k].pu_out = lanes[k].pu;
-        *lanes[k].pl_out = lanes[k].pl;
-      } else {
-        lanes[kept++] = lanes[k];
-      }
-    }
-    live = kept;
-  }
+/// Throws dh::Error unless the condition's gate bias is finite: a NaN or
+/// +inf bias would turn the state to NaN, and -inf would wipe it.
+void require_finite_bias(const BtiCondition& condition) {
+  DH_REQUIRE(std::isfinite(condition.gate_bias.value()),
+             "gate bias must be finite");
 }
 
 /// True when no device appears in two jobs. Devices at ascending addresses
@@ -200,6 +227,7 @@ void CompactBti::require_valid_temperature(Celsius temperature) {
 void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
   require_valid_dt(dt);
   require_valid_temperature(condition.temperature);
+  require_finite_bias(condition);
   if (dt.value() == 0.0) return;
   if (!condition.is_stress()) {
     recover(condition, dt.value(), fast_, slow_, pu_, pl_);
@@ -209,7 +237,7 @@ void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
   double pu = pu_;
   double pl = pl_;
   for (int s = 0; s < c.substeps; ++s) {
-    precursor_substep(c, pu, pl);
+    precursor_substep(c.g, c.h, pu, pl);
   }
   pu_ = pu;
   pl_ = pl;
@@ -220,11 +248,11 @@ void CompactBti::apply_batch(std::span<const BtiJob> jobs) {
     DH_REQUIRE(job.device != nullptr, "batch job has no device");
     require_valid_dt(job.dt);
     require_valid_temperature(job.condition.temperature);
+    require_finite_bias(job.condition);
   }
   DH_REQUIRE(distinct_devices(jobs), "a device appears twice in one batch");
 
-  std::array<Lane, kLanes> lanes{};
-  std::size_t n = 0;
+  Lanes lanes;
   for (const BtiJob& job : jobs) {
     if (job.dt.value() == 0.0) continue;
     CompactBti& d = *job.device;
@@ -232,15 +260,11 @@ void CompactBti::apply_batch(std::span<const BtiJob> jobs) {
       recover(job.condition, job.dt.value(), d.fast_, d.slow_, d.pu_, d.pl_);
       continue;
     }
-    lanes[n++] = {
-        stress_prelude(job.condition, job.dt.value(), d.fast_, d.slow_),
-        d.pu_, d.pl_, &d.pu_, &d.pl_};
-    if (n == kLanes) {
-      advance_lockstep(lanes);
-      n = 0;
-    }
+    lanes.add(stress_prelude(job.condition, job.dt.value(), d.fast_, d.slow_),
+              d.pu_, d.pl_);
+    if (lanes.full()) lanes.advance();
   }
-  advance_lockstep({lanes.data(), n});
+  lanes.advance();
 }
 
 void CompactBti::reset() {

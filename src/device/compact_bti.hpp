@@ -35,15 +35,16 @@ struct BtiJob {
 class CompactBti {
  public:
   /// Advance the device by `dt` under `condition`. `dt` must pass
-  /// require_valid_dt and the temperature require_valid_temperature.
+  /// require_valid_dt, the temperature require_valid_temperature, and the
+  /// gate bias must be finite.
   void apply(const BtiCondition& condition, Seconds dt);
 
   /// Apply every job as `job.device->apply(job.condition, job.dt)` would,
   /// bit for bit, but advance the stressed devices' precursor chains in
   /// lockstep so their independent substeps overlap in the pipeline.
-  /// Every job's `dt` and temperature are checked, and a device appearing
-  /// in two jobs is rejected, before any device changes: a throwing batch
-  /// leaves every device as it was.
+  /// Every job's `dt`, temperature and bias are checked, and a device
+  /// appearing in two jobs is rejected, before any device changes: a
+  /// throwing batch leaves every device as it was.
   static void apply_batch(std::span<const BtiJob> jobs);
 
   /// Throws dh::Error unless `dt` is a step apply accepts: finite,

@@ -1,7 +1,9 @@
 #include "em/korhonen.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/math/interp.hpp"
@@ -22,6 +24,11 @@ constexpr double kMaxSubstepS = 30.0;
 /// diffusivity — the second reason recovery under reverse current is
 /// fast (and a real effect in Cu interconnect healing experiments).
 constexpr double kVoidCrowdingThetaKPerW = 1550.0;
+
+/// True when `a` and `b` have the same bits.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 }  // namespace
 
@@ -49,13 +56,19 @@ KorhonenSolver::KorhonenSolver(WireGeometry wire, EmMaterialParams material)
   tri_lower_.assign(n - 1, 0.0);
   tri_diag_.assign(n, 0.0);
   tri_upper_.assign(n - 1, 0.0);
-  tri_rhs_.assign(n, 0.0);
+  factor_.lower.resize(n - 1);
+  factor_.c_prime.resize(n - 1);
+  factor_.pivot.resize(n);
+  wind_.assign(n, 0.0);
 }
 
 void KorhonenSolver::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
   // An infinite step would substep until the wire breaks, or forever.
   DH_REQUIRE(std::isfinite(dt.value()) && dt.value() >= 0.0,
              "time step must be finite and non-negative");
+  // A non-finite current would turn the stress field to NaN, after which
+  // the wire could never nucleate or break.
+  DH_REQUIRE(std::isfinite(j.value()), "current density must be finite");
   if (broken_) {
     elapsed_s_ += dt.value();
     return;
@@ -69,52 +82,84 @@ void KorhonenSolver::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
   }
 }
 
-void KorhonenSolver::substep(AmpsPerM2 j, Kelvin t, double dt) {
+void KorhonenSolver::refactor(double kappa, double dt, bool dirichlet0,
+                              bool dirichletN) {
+  // Assemble and factor the backward-Euler matrix (I/dt - A), where A
+  // couples neighbours through kappa/h; a free-surface (Dirichlet) end is
+  // the identity row sigma = 0.
   const std::size_t n = x_.size();
-  const double kappa = material_.kappa(t);
-  const double rho = wire_.resistivity_at(t);
-  const double g = material_.driving_force(rho, j);  // Pa/m
-
-  // Assemble the backward-Euler tridiagonal system:
-  //   (I/dt - A) sigma^{n+1} = sigma^n/dt + b
-  // where A couples neighbours through kappa/h and b carries the wind
-  // source at non-Dirichlet boundary cells. The buffers are constructor-
-  // sized members (every entry is overwritten below), so substeps stay
-  // allocation-free.
   std::vector<double>& lower = tri_lower_;
   std::vector<double>& diag = tri_diag_;
   std::vector<double>& upper = tri_upper_;
-  std::vector<double>& rhs = tri_rhs_;
-
-  const bool dirichlet0 = void_start_.open;
-  const bool dirichletN = void_end_.open;
-
   for (std::size_t i = 0; i < n; ++i) {
     if ((i == 0 && dirichlet0) || (i == n - 1 && dirichletN)) {
       diag[i] = 1.0;
-      rhs[i] = 0.0;  // free surface: sigma = 0
       if (i == 0) upper[0] = 0.0;
       if (i == n - 1) lower[n - 2] = 0.0;
       continue;
     }
     diag[i] = 1.0 / dt;
-    rhs[i] = sigma_[i] / dt;
     // Right face.
     if (i + 1 < n) {
       const double c = kappa / (x_[i + 1] - x_[i]) / cell_w_[i];
       diag[i] += c;
       upper[i] = -c;
-      rhs[i] += kappa * g / cell_w_[i];  // wind flux through right face
     }
     // Left face.
     if (i > 0) {
       const double c = kappa / (x_[i] - x_[i - 1]) / cell_w_[i];
       diag[i] += c;
       lower[i - 1] = -c;
-      rhs[i] -= kappa * g / cell_w_[i];  // wind flux through left face
     }
   }
-  math::solve_tridiagonal(lower, diag, upper, rhs, sigma_, tri_ws_);
+  // A factorization that throws leaves no usable factor behind.
+  factored_ = false;
+  math::factor_tridiagonal(lower, diag, upper, factor_);
+  factored_ = true;
+  factor_kappa_ = kappa;
+  factor_dt_ = dt;
+  factor_dirichlet0_ = dirichlet0;
+  factor_dirichletN_ = dirichletN;
+}
+
+void KorhonenSolver::refresh_wind(double kappa, double g) {
+  for (std::size_t i = 0; i < wind_.size(); ++i) {
+    wind_[i] = kappa * g / cell_w_[i];
+  }
+  wind_set_ = true;
+  wind_kappa_ = kappa;
+  wind_g_ = g;
+}
+
+void KorhonenSolver::substep(AmpsPerM2 j, Kelvin t, double dt) {
+  const std::size_t n = x_.size();
+  const double kappa = material_.kappa(t);
+  const double rho = wire_.resistivity_at(t);
+  const double g = material_.driving_force(rho, j);  // Pa/m
+
+  // Backward Euler: (I/dt - A) sigma^{n+1} = sigma^n/dt + b, where b
+  // carries the wind flux through each face of a non-Dirichlet cell.
+  const bool dirichlet0 = void_start_.open;
+  const bool dirichletN = void_end_.open;
+  if (!factored_ || !same_bits(kappa, factor_kappa_) ||
+      !same_bits(dt, factor_dt_) || dirichlet0 != factor_dirichlet0_ ||
+      dirichletN != factor_dirichletN_) {
+    refactor(kappa, dt, dirichlet0, dirichletN);
+  }
+  if (!wind_set_ || !same_bits(kappa, wind_kappa_) ||
+      !same_bits(g, wind_g_)) {
+    refresh_wind(kappa, g);
+  }
+  // The right-hand side, formed in place: the wind enters through a
+  // cell's right face and leaves through its left. An interior cell's
+  // (sigma/dt + wind) - wind is left unsimplified, since folding it would
+  // change the bits of every result.
+  sigma_[0] = dirichlet0 ? 0.0 : sigma_[0] / dt + wind_[0];
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    sigma_[i] = sigma_[i] / dt + wind_[i] - wind_[i];
+  }
+  sigma_[n - 1] = dirichletN ? 0.0 : sigma_[n - 1] / dt - wind_[n - 1];
+  math::solve_tridiagonal(factor_, sigma_, sigma_);
 
   // Void growth/healing from the boundary fluxes.
   auto flux_at_face = [&](std::size_t left_node) {

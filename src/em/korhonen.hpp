@@ -55,7 +55,7 @@ class KorhonenSolver {
   KorhonenSolver(WireGeometry wire, EmMaterialParams material);
 
   /// Advance by `dt` (finite, non-negative) under current density `j`
-  /// (sign = direction) at the given chamber/line temperature.
+  /// (finite; sign = direction) at the given chamber/line temperature.
   /// Internally substeps.
   void step(AmpsPerM2 j, Celsius temperature, Seconds dt);
 
@@ -82,6 +82,8 @@ class KorhonenSolver {
 
  private:
   void substep(AmpsPerM2 j, Kelvin t, double dt);
+  void refactor(double kappa, double dt, bool dirichlet0, bool dirichletN);
+  void refresh_wind(double kappa, double g);
   void maybe_nucleate(WireEnd end);
 
   WireGeometry wire_;
@@ -89,14 +91,24 @@ class KorhonenSolver {
   std::vector<double> x_;       // node coordinates
   std::vector<double> cell_w_;  // finite-volume cell widths
   std::vector<double> sigma_;   // stress at nodes (Pa)
-  // Backward-Euler assembly buffers + Thomas scratch, sized once in the
-  // constructor and reused by every substep of every step (the per-wire
-  // hot loop of population sweeps allocates nothing after construction).
+  // The backward-Euler matrix depends only on kappa, the substep and
+  // which ends are free surfaces; its factor is rebuilt when one of them
+  // changes (compared bit for bit). The wind term kappa*g/cell_w is kept
+  // the same way, keyed on kappa and g. Every buffer is sized in the
+  // constructor, so a step allocates nothing.
   std::vector<double> tri_lower_;
   std::vector<double> tri_diag_;
   std::vector<double> tri_upper_;
-  std::vector<double> tri_rhs_;
-  math::TridiagonalWorkspace tri_ws_;
+  math::TridiagonalFactor factor_;
+  bool factored_ = false;
+  double factor_kappa_ = 0.0;
+  double factor_dt_ = 0.0;
+  bool factor_dirichlet0_ = false;
+  bool factor_dirichletN_ = false;
+  std::vector<double> wind_;  // kappa*g/cell_w per node
+  bool wind_set_ = false;
+  double wind_kappa_ = 0.0;
+  double wind_g_ = 0.0;
   VoidState void_start_;
   VoidState void_end_;
   bool broken_ = false;

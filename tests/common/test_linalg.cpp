@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -108,6 +112,18 @@ TEST_P(LuRandom, ResidualIsSmall) {
 INSTANTIATE_TEST_SUITE_P(Sizes, LuRandom,
                          ::testing::Values(1, 2, 5, 16, 40, 90));
 
+/// Factors the system and solves it once.
+std::vector<double> solve_tridiagonal(std::span<const double> lower,
+                                      std::span<const double> diag,
+                                      std::span<const double> upper,
+                                      std::span<const double> rhs) {
+  TridiagonalFactor f;
+  factor_tridiagonal(lower, diag, upper, f);
+  std::vector<double> x(rhs.size());
+  solve_tridiagonal(f, rhs, x);
+  return x;
+}
+
 TEST(Tridiagonal, MatchesDenseSolve) {
   const std::size_t n = 12;
   std::vector<double> lower(n - 1), diag(n), upper(n - 1), rhs(n);
@@ -144,6 +160,80 @@ TEST(Tridiagonal, SizeMismatchThrows) {
                                  std::vector<double>{},
                                  std::vector<double>{1.0}),
                Error);
+  TridiagonalFactor f;
+  factor_tridiagonal(std::vector<double>{1.0}, std::vector<double>{4.0, 4.0},
+                     std::vector<double>{1.0}, f);
+  std::vector<double> x(2);
+  EXPECT_THROW(solve_tridiagonal(f, std::vector<double>{1.0}, x), Error);
+  EXPECT_THROW(solve_tridiagonal(f, std::vector<double>{1.0, 2.0, 3.0}, x),
+               Error);
+}
+
+TEST(Tridiagonal, PivotUnderflowThrows) {
+  TridiagonalFactor f;
+  // A zero first pivot.
+  EXPECT_THROW(factor_tridiagonal(std::vector<double>{1.0},
+                                  std::vector<double>{0.0, 2.0},
+                                  std::vector<double>{1.0}, f),
+               Error);
+  // A pivot that cancels to zero in elimination: [[1, 1], [1, 1]].
+  EXPECT_THROW(factor_tridiagonal(std::vector<double>{1.0},
+                                  std::vector<double>{1.0, 1.0},
+                                  std::vector<double>{1.0}, f),
+               Error);
+  // A NaN pivot.
+  EXPECT_THROW(factor_tridiagonal(std::vector<double>{0.0},
+                                  std::vector<double>{1.0, std::nan("")},
+                                  std::vector<double>{0.0}, f),
+               Error);
+}
+
+TEST(Tridiagonal, ReusedFactorMatchesFreshFactorBitForBit) {
+  // Diagonally dominant systems like the Korhonen solver's, some with a
+  // Dirichlet row (diag 1, zero off-diagonal) at either end, each factored
+  // once and solved against many right-hand sides. Every solution must
+  // have the bits of a fresh factor-and-solve of the same system, in a
+  // separate output and in place.
+  Rng rng{17};
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 60u}) {
+    for (int ends = 0; ends < 4; ++ends) {
+      std::vector<double> lower(n - 1), diag(n), upper(n - 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double left = i > 0 ? rng.uniform(0.0, 1e6) : 0.0;
+        const double right = i + 1 < n ? rng.uniform(0.0, 1e6) : 0.0;
+        diag[i] = rng.uniform(1e-3, 1.0) + left + right;
+        if (i > 0) lower[i - 1] = -left;
+        if (i + 1 < n) upper[i] = -right;
+      }
+      if ((ends & 1) != 0) {
+        diag[0] = 1.0;
+        if (n > 1) upper[0] = 0.0;
+      }
+      if ((ends & 2) != 0 && n > 1) {
+        diag[n - 1] = 1.0;
+        lower[n - 2] = 0.0;
+      }
+      TridiagonalFactor kept;
+      factor_tridiagonal(lower, diag, upper, kept);
+      for (int r = 0; r < 25; ++r) {
+        std::vector<double> rhs(n);
+        for (double& v : rhs) v = rng.uniform(-1e9, 1e9);
+        const auto fresh = solve_tridiagonal(lower, diag, upper, rhs);
+        std::vector<double> x(n);
+        solve_tridiagonal(kept, rhs, x);
+        std::vector<double> in_place = rhs;
+        solve_tridiagonal(kept, in_place, in_place);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]),
+                    std::bit_cast<std::uint64_t>(fresh[i]))
+              << "n " << n << " ends " << ends << " rhs " << r << " i " << i;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(in_place[i]),
+                    std::bit_cast<std::uint64_t>(fresh[i]))
+              << "n " << n << " ends " << ends << " rhs " << r << " i " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Norms, KnownValues) {

@@ -235,6 +235,41 @@ TEST(CompactBti, BatchRejectsBadTemperatureWithoutMutating) {
   EXPECT_EQ(state_bytes(d[0]), before);
 }
 
+TEST(CompactBti, RejectsNonFiniteBias) {
+  // A NaN or +inf bias used to return with a NaN shift, and -inf (a
+  // recovery condition) wiped the shift to zero.
+  CompactBti m{};
+  m.apply(paper_conditions::accelerated_stress(), hours(1.0));
+  const auto before = state_bytes(m);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    const BtiCondition bad{Volts{v}, Celsius{110.0}};
+    EXPECT_THROW(m.apply(bad, hours(1.0)), Error) << v;
+    EXPECT_THROW(m.apply(bad, Seconds{0.0}), Error) << v;
+    EXPECT_EQ(state_bytes(m), before) << v;
+  }
+}
+
+TEST(CompactBti, BatchRejectsNonFiniteBiasWithoutMutating) {
+  // The bad job comes last, after a stressed and a recovering device.
+  std::array<CompactBti, 3> d;
+  for (CompactBti& m : d) {
+    m.apply(paper_conditions::accelerated_stress(), hours(1.0));
+  }
+  const auto before = state_bytes(d[0]);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    const std::array<BtiJob, 3> jobs{
+        {{&d[0], paper_conditions::accelerated_stress(), hours(6.0)},
+         {&d[1], paper_conditions::recovery_no4(), hours(6.0)},
+         {&d[2], BtiCondition{Volts{v}, Celsius{110.0}}, hours(6.0)}}};
+    EXPECT_THROW(CompactBti::apply_batch(jobs), Error) << v;
+    for (const CompactBti& m : d) EXPECT_EQ(state_bytes(m), before) << v;
+  }
+}
+
 TEST(CompactBti, BatchOfDtZeroIsNoOp) {
   std::array<CompactBti, 2> d;
   for (CompactBti& m : d) {

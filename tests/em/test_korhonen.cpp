@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "em/compact_em.hpp"
@@ -168,6 +170,133 @@ TEST(Korhonen, NonFiniteDtRejected) {
   EXPECT_THROW(s.step(j, Celsius{230.0}, Seconds{std::nan("")}), Error);
   EXPECT_EQ(s.elapsed().value(), 0.0);
   EXPECT_FALSE(s.broken());
+}
+
+TEST(Korhonen, NonFiniteCurrentRejected) {
+  // A NaN or infinite current used to turn the stress field to NaN, after
+  // which the wire could never nucleate or break.
+  KorhonenSolver s = make_solver();
+  const auto t = paper_em_conditions::chamber();
+  s.step(paper_em_conditions::stress_density(), t, minutes(10.0));
+  const double start = s.stress_at(WireEnd::kStart).value();
+  const double integral = s.stress_integral();
+  for (const double j : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(s.step(AmpsPerM2{j}, t, minutes(10.0)), Error) << j;
+    EXPECT_THROW(s.step(AmpsPerM2{j}, t, Seconds{0.0}), Error) << j;
+  }
+  EXPECT_EQ(s.elapsed().value(), 600.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.stress_at(WireEnd::kStart).value()),
+            std::bit_cast<std::uint64_t>(start));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.stress_integral()),
+            std::bit_cast<std::uint64_t>(integral));
+}
+
+/// The state a step script checks, as bit patterns.
+struct PinnedState {
+  bool open_start;
+  bool open_end;
+  std::uint64_t stress_start;
+  std::uint64_t stress_end;
+  std::uint64_t mobile_start;
+  std::uint64_t fixed_start;
+  std::uint64_t mobile_end;
+  std::uint64_t fixed_end;
+  std::uint64_t integral;
+};
+
+void expect_state(const KorhonenSolver& s, const PinnedState& want,
+                  const char* stage) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const VoidState& a = s.void_at(WireEnd::kStart);
+  const VoidState& b = s.void_at(WireEnd::kEnd);
+  EXPECT_EQ(a.open, want.open_start) << stage;
+  EXPECT_EQ(b.open, want.open_end) << stage;
+  EXPECT_EQ(bits(s.stress_at(WireEnd::kStart).value()), want.stress_start)
+      << stage;
+  EXPECT_EQ(bits(s.stress_at(WireEnd::kEnd).value()), want.stress_end)
+      << stage;
+  EXPECT_EQ(bits(a.mobile_len_m), want.mobile_start) << stage;
+  EXPECT_EQ(bits(a.fixed_len_m), want.fixed_start) << stage;
+  EXPECT_EQ(bits(b.mobile_len_m), want.mobile_end) << stage;
+  EXPECT_EQ(bits(b.fixed_len_m), want.fixed_end) << stage;
+  EXPECT_EQ(bits(s.stress_integral()), want.integral) << stage;
+}
+
+TEST(Korhonen, StepScriptMatchesPinnedBits) {
+  // A script through every condition the backward-Euler matrix and the
+  // wind term depend on: constant stress, a temperature change, a current
+  // reversal, nucleation and healing at the cathode (a Dirichlet end
+  // appearing and going), a step whose last substep is short, and a zero
+  // step. The bit patterns were recorded from a solver that assembled and
+  // factored its matrix on every substep; reusing the factor must not
+  // change one bit.
+  KorhonenSolver s = make_solver();
+  const auto j = paper_em_conditions::stress_density();
+  const auto jr = paper_em_conditions::reverse_density();
+  const auto t = paper_em_conditions::chamber();
+  s.step(j, t, hours(1.0));
+  expect_state(s,
+               {false, false, 0x41a3d63952806cfcULL, 0xc1a3d63952806d03ULL,
+                0, 0, 0, 0, 0xbd82c80000000000ULL},
+               "constant stress");
+  s.step(j, Celsius{200.0}, hours(1.0));
+  expect_state(s,
+               {false, false, 0x41a5d0fabd57ba56ULL, 0xc1a5d0fabd57ba5bULL,
+                0, 0, 0, 0, 0xbd86400000000000ULL},
+               "cooler");
+  s.step(jr, t, hours(1.0));
+  expect_state(s,
+               {false, false, 0xc193a75101e7109aULL, 0x4193a75101e71074ULL,
+                0, 0, 0, 0, 0xbda0c50000000000ULL},
+               "reversed");
+  int steps = 0;
+  while (!s.void_at(WireEnd::kStart).open && steps++ < 100) {
+    s.step(j, t, minutes(10.0));
+  }
+  EXPECT_EQ(steps, 34);
+  expect_state(s,
+               {true, false, 0, 0xc1b7f99a10eb6428ULL, 0x3e225c5384587578ULL,
+                0x3d92cdd09c4e77d8ULL, 0, 0, 0xc07e7a696acfa9b9ULL},
+               "nucleated");
+  s.step(j, t, hours(2.0));
+  expect_state(s,
+               {true, false, 0, 0xc1bbd578c741adc4ULL, 0x3e4fdc4e917c91afULL,
+                0x3e0cee15036a11c0ULL, 0, 0, 0xc0a965adad6e3ba7ULL},
+               "grown");
+  steps = 0;
+  while (s.void_at(WireEnd::kStart).open && steps++ < 100) {
+    s.step(jr, t, minutes(10.0));
+  }
+  EXPECT_EQ(steps, 13);
+  const PinnedState healed{false,
+                           false,
+                           0xc1731d771da09c55ULL,
+                           0xc181f11a50f7c781ULL,
+                           0,
+                           0x3e1a085b1f6f1879ULL,
+                           0,
+                           0,
+                           0xc0a1670ba186c49eULL};
+  expect_state(s, healed, "healed");
+  const PinnedState short_substep{false,
+                                  false,
+                                  0x41980389ad5987d3ULL,
+                                  0xc1a68b0f1a9e358bULL,
+                                  0,
+                                  0x3e1a085b1f6f1879ULL,
+                                  0,
+                                  0,
+                                  0xc0a1670ba186c4adULL};
+  s.step(j, t, Seconds{1000.0});  // 33 substeps of 30 s and one of 10 s
+  expect_state(s, short_substep, "short last substep");
+  s.step(j, t, Seconds{0.0});
+  expect_state(s, short_substep, "zero step");
+  s.step(j, t, Seconds{1000.0});
+  expect_state(s,
+               {false, false, 0x41a12aa5067d36c8ULL, 0xc1acab5163133137ULL, 0,
+                0x3e1a085b1f6f1879ULL, 0, 0, 0xc0a1670ba186c4bcULL},
+               "after the short substep");
+  EXPECT_EQ(s.elapsed().value(), 48200.0);
 }
 
 TEST(Korhonen, GridValidation) {

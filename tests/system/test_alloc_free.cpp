@@ -1,7 +1,7 @@
 // Per-quantum steps that must not allocate once their buffers are sized:
-// AgingPdn::step, ThermalGrid::solve_steady, SramArray::step and
-// SystemSimulator::step; and SystemSimulator::run, whose only allocations
-// size its traces.
+// KorhonenSolver::step, AgingPdn::step, ThermalGrid::solve_steady,
+// SramArray::step and SystemSimulator::step; and SystemSimulator::run,
+// whose only allocations size its traces.
 //
 // This binary replaces the global operator new with a counting one, so it
 // holds only these tests.
@@ -13,6 +13,8 @@
 #include <new>
 #include <vector>
 
+#include "em/em_sensor.hpp"
+#include "em/korhonen.hpp"
 #include "em/material.hpp"
 #include "pdn/aging_pdn.hpp"
 #include "sched/policy.hpp"
@@ -68,6 +70,33 @@ TEST(AllocationFree, AgingPdnStep) {
   }
   EXPECT_GT(mesh.stats().nucleated_segments, 0u);
   EXPECT_GT(mesh.grid().solve_stats().refinement_iterations, 0u);
+}
+
+TEST(AllocationFree, KorhonenStep) {
+  // From the first step on: stress, a cooler step, nucleation at the
+  // cathode, growth, healing under reversed current and a short last
+  // substep each rebuild the factor or the wind term in place.
+  em::KorhonenSolver wire{em::paper_wire(),
+                          em::paper_calibrated_em_material()};
+  const auto j = em::paper_em_conditions::stress_density();
+  const auto jr = em::paper_em_conditions::reverse_density();
+  const auto t = em::paper_em_conditions::chamber();
+  EXPECT_EQ(allocations_in([&] {
+              wire.step(j, t, hours(1.0));
+              wire.step(j, Celsius{200.0}, hours(1.0));
+              for (int k = 0; k < 60 && !wire.ever_nucleated(); ++k) {
+                wire.step(j, t, minutes(10.0));
+              }
+              wire.step(j, t, hours(2.0));
+              for (int k = 0; k < 60 && wire.void_at(em::WireEnd::kStart).open;
+                   ++k) {
+                wire.step(jr, t, minutes(10.0));
+              }
+              wire.step(j, t, Seconds{1000.0});
+            }),
+            0u);
+  EXPECT_TRUE(wire.ever_nucleated());
+  EXPECT_FALSE(wire.void_at(em::WireEnd::kStart).open);
 }
 
 TEST(AllocationFree, ThermalSolveSteady) {
