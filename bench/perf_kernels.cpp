@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "circuit/assist.hpp"
+#include "common/math/interp.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "device/bti_model.hpp"
@@ -20,6 +21,7 @@
 #include "sched/core_model.hpp"
 #include "sched/system_sim.hpp"
 #include "sram/sram_array.hpp"
+#include "sram/sram_cell.hpp"
 #include "thermal/thermal_grid.hpp"
 
 namespace {
@@ -307,6 +309,17 @@ void BM_AssistDcSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AssistDcSolve);
+
+void BM_InverterVtc(benchmark::State& state) {
+  // cell_snm's grid: 41 points across the SRAM's 0.9 V supply. One VTC is
+  // half the MNA work behind a hold SNM.
+  const std::vector<double> vin = math::linspace(0.0, 0.9, 41);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sram::inverter_vtc(Volts{0.0}, Volts{0.0}, vin));
+  }
+}
+BENCHMARK(BM_InverterVtc);
 
 void BM_SystemSimStep(benchmark::State& state) {
   sched::SystemParams p;

@@ -73,14 +73,14 @@ AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
                                           double t_switch) const {
   Built b;
   Circuit& c = b.ckt;
-  b.vdd = c.add_node("vdd");
-  b.ga = c.add_node("gA");
-  b.gmid = c.add_node("gMid");
-  b.gb = c.add_node("gB");
-  b.ha = c.add_node("hA");
-  b.hb = c.add_node("hB");
-  b.load_vdd = c.add_node("loadVdd");
-  b.load_vss = c.add_node("loadVss");
+  b.vdd = c.add_node();
+  b.ga = c.add_node();
+  b.gmid = c.add_node();
+  b.gb = c.add_node();
+  b.ha = c.add_node();
+  b.hb = c.add_node();
+  b.load_vdd = c.add_node();
+  b.load_vss = c.add_node();
 
   const double vdd = kVdd.value();
   (void)c.add_voltage_source(b.vdd, Circuit::ground(), Waveform::dc(vdd));
@@ -135,7 +135,7 @@ AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
     const double v_off = is_pmos ? vdd : 0.0;
     const double v_from = from_states[i] ? v_on : v_off;
     const double v_to = to_states[i] ? v_on : v_off;
-    const NodeId gate = c.add_node("gate" + std::to_string(i));
+    const NodeId gate = c.add_node();
     const Waveform w = transient && v_from != v_to
                            ? Waveform::step(v_from, v_to, t_switch, 2e-10)
                            : Waveform::dc(v_from);
@@ -153,21 +153,17 @@ AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
     c.add_resistor(b.load_vdd, b.load_vss, kLoadLeakPerUnit);
     c.add_capacitor(b.load_vdd, b.load_vss, kLoadCap);
   }
-  // Activity-equivalent load: present while the load operates. For a
-  // transition involving BTI mode the activity stops/starts with the
-  // switch; we approximate with a switch element driven by the mode.
+  // Activity-equivalent load: present while the load operates.
   if (active_from || active_to) {
     const double r_act =
         kLoadActivePerUnit.value() / static_cast<double>(n);
     if (active_from && active_to) {
       c.add_resistor(b.load_vdd, b.load_vss, Ohms{r_act});
     } else {
-      // Activity ramps with the mode change: model as a resistor in
-      // series with a switch-like FET is overkill here — use two
-      // resistors gated by complementary step sources feeding a
-      // current-free gate is unnecessary; instead approximate with the
-      // 'from' state for DC and accept the step for transient studies.
-      const NodeId act = c.add_node("act_gate");
+      // Entering or leaving BTI mode starts or stops the activity with
+      // the mode switch, so the load is an NMOS whose gate source steps
+      // with the mode.
+      const NodeId act = c.add_node();
       const Waveform w =
           transient
               ? Waveform::step(active_from ? vdd : 0.0,

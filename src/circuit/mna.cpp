@@ -37,18 +37,6 @@ const TimeSeries& TransientResult::trace(const std::string& label) const {
   throw Error("no transient trace named '" + label + "'");
 }
 
-NodeId Circuit::add_node(std::string name) {
-  node_names_.push_back(std::move(name));
-  return node_names_.size() - 1;
-}
-
-NodeId Circuit::node(const std::string& name) const {
-  for (std::size_t i = 0; i < node_names_.size(); ++i) {
-    if (node_names_[i] == name) return i;
-  }
-  throw Error("no node named '" + name + "'");
-}
-
 void Circuit::add_resistor(NodeId a, NodeId b, Ohms r) {
   DH_REQUIRE(r.value() > 0.0, "resistance must be positive");
   DH_REQUIRE(a < node_count() && b < node_count(), "resistor node invalid");
@@ -80,9 +68,8 @@ void Circuit::add_mosfet(const MosfetParams& params, NodeId gate,
 
 class AssembleOut {
  public:
-  AssembleOut(std::size_t n_unknowns, std::size_t n_nodes)
-      : g(n_unknowns, n_unknowns, 0.0), rhs(n_unknowns, 0.0),
-        n_nodes_(n_nodes) {}
+  explicit AssembleOut(std::size_t n_unknowns)
+      : g(n_unknowns, n_unknowns, 0.0), rhs(n_unknowns, 0.0) {}
 
   // Node index -> unknown index (ground excluded).
   [[nodiscard]] bool grounded(NodeId n) const { return n == 0; }
@@ -111,12 +98,9 @@ class AssembleOut {
 
   math::Matrix g;
   std::vector<double> rhs;
-
- private:
-  std::size_t n_nodes_;
 };
 
-void Circuit::assemble(std::vector<double>& x_guess, double t, double gmin,
+void Circuit::assemble(const std::vector<double>& x_guess, double t,
                        const std::vector<double>* x_prev, double dt,
                        AssembleOut& out) const {
   auto v_of = [&](NodeId n) { return n == 0 ? 0.0 : x_guess[n - 1]; };
@@ -126,7 +110,7 @@ void Circuit::assemble(std::vector<double>& x_guess, double t, double gmin,
 
   // gmin leak on every non-ground node.
   for (std::size_t n = 1; n < node_count(); ++n) {
-    out.g(n - 1, n - 1) += gmin;
+    out.g(n - 1, n - 1) += kGminFloor;
   }
 
   for (const auto& r : resistors_) out.add_conductance(r.a, r.b, r.g);
@@ -169,22 +153,17 @@ void Circuit::assemble(std::vector<double>& x_guess, double t, double gmin,
   }
 }
 
-std::optional<std::vector<double>> Circuit::newton_solve(
-    std::vector<double> x0, double t, double gmin,
-    const std::vector<double>* x_prev, double dt, int* iters_out) const {
+std::vector<double> Circuit::newton_solve(std::vector<double> x, double t,
+                                          const std::vector<double>* x_prev,
+                                          double dt) const {
   const std::size_t n = unknown_count();
-  std::vector<double> x = std::move(x0);
-  x.resize(n, 0.0);
   const std::size_t nn = node_count() - 1;
   for (int iter = 0; iter < kMaxNewtonIterations; ++iter) {
-    AssembleOut out(n, node_count());
-    assemble(x, t, gmin, x_prev, dt, out);
-    std::vector<double> x_new;
-    try {
-      x_new = math::solve_dense(out.g, out.rhs);
-    } catch (const Error&) {
-      return std::nullopt;  // singular system at this gmin level
-    }
+    AssembleOut out(n);
+    assemble(x, t, x_prev, dt, out);
+    // A singular system (e.g. conflicting ideal sources) throws from the
+    // LU with its own message.
+    const std::vector<double> x_new = math::solve_dense(out.g, out.rhs);
     // Damping: limit the node-voltage update.
     double max_dv = 0.0;
     for (std::size_t i = 0; i < nn; ++i) {
@@ -200,40 +179,21 @@ std::optional<std::vector<double>> Circuit::newton_solve(
       }
       x[i] += dx;
     }
-    if (converged && scale == 1.0) {
-      if (iters_out != nullptr) *iters_out = iter + 1;
-      return x;
-    }
+    if (converged && scale == 1.0) return x;
   }
-  return std::nullopt;
+  if (x_prev == nullptr) {
+    throw ConvergenceError("DC operating point failed to converge");
+  }
+  throw ConvergenceError("transient step failed to converge at t=" +
+                         std::to_string(t));
 }
 
 DcSolution Circuit::solve_dc() const {
   DH_REQUIRE(node_count() >= 2, "circuit has no nodes");
-  // gmin continuation: start leaky, tighten, reusing each stage's solution.
-  const double gmin_levels[] = {1e-3, 1e-5, 1e-7, 1e-9, 0.0};
-  std::vector<double> x(unknown_count(), 0.0);
-  int iters = 0;
-  bool have_solution = false;
-  for (const double gmin : gmin_levels) {
-    const double g = std::max(gmin, kGminFloor);
-    int it = 0;
-    auto sol = newton_solve(x, 0.0, g, nullptr, 0.0, &it);
-    if (sol) {
-      x = std::move(*sol);
-      iters += it;
-      have_solution = true;
-    } else if (!have_solution) {
-      continue;  // try the next (tighter) level from scratch anyway
-    }
-  }
-  if (!have_solution) {
-    throw ConvergenceError("DC operating point failed to converge");
-  }
   DcSolution out;
-  out.x = std::move(x);
+  out.x = newton_solve(std::vector<double>(unknown_count(), 0.0), 0.0,
+                       nullptr, 0.0);
   out.node_count = node_count();
-  out.newton_iterations = iters;
   return out;
 }
 
@@ -251,8 +211,7 @@ TransientResult Circuit::solve_transient(
                                p.kind == Probe::Kind::kNodeVoltage ? "V"
                                                                    : "A");
   }
-  DcSolution ic = solve_dc();
-  std::vector<double> x = ic.x;
+  std::vector<double> x = solve_dc().x;
   const std::size_t nn = node_count() - 1;
   auto record = [&](double time) {
     for (std::size_t p = 0; p < probes.size(); ++p) {
@@ -267,21 +226,11 @@ TransientResult Circuit::solve_transient(
   };
   record(0.0);
   double t = 0.0;
-  std::vector<double> x_prev = x;
+  std::vector<double> x_prev;
   while (t < t_end - 0.5 * dt) {
     t += dt;
     x_prev = x;
-    int it = 0;
-    auto sol = newton_solve(x, t, kGminFloor, &x_prev, dt, &it);
-    if (!sol) {
-      // Retry once with a leakier gmin before giving up.
-      sol = newton_solve(x, t, 1e-6, &x_prev, dt, &it);
-      if (!sol) {
-        throw ConvergenceError("transient step failed to converge at t=" +
-                               std::to_string(t));
-      }
-    }
-    x = std::move(*sol);
+    x = newton_solve(x, t, &x_prev, dt);
     record(t);
   }
   return result;

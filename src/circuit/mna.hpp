@@ -1,11 +1,10 @@
-// Modified nodal analysis circuit simulator: DC operating point via
-// damped Newton-Raphson with gmin continuation, and backward-Euler
-// transient analysis. Scales comfortably to the few-hundred-node circuits
-// in this project (assist circuitry, ring oscillators, PDN slices).
+// Modified nodal analysis circuit simulator: DC operating point via one
+// damped Newton-Raphson solve, and backward-Euler transient analysis.
+// Scales comfortably to the few-hundred-node circuits in this project
+// (assist circuitry, ring oscillators, PDN slices).
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@ struct DcSolution {
   std::size_t node_count = 0;
   [[nodiscard]] double voltage(NodeId n) const;
   [[nodiscard]] double branch_current(std::size_t branch) const;
-  int newton_iterations = 0;
 };
 
 /// Probe request for transient analysis.
@@ -49,9 +47,8 @@ class Circuit {
   Circuit() = default;
 
   [[nodiscard]] static NodeId ground() { return 0; }
-  [[nodiscard]] NodeId add_node(std::string name);
-  [[nodiscard]] NodeId node(const std::string& name) const;
-  [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
+  [[nodiscard]] NodeId add_node() { return node_count_++; }
+  [[nodiscard]] std::size_t node_count() const { return node_count_; }
 
   void add_resistor(NodeId a, NodeId b, Ohms r);
   void add_capacitor(NodeId a, NodeId b, Farads c);
@@ -59,11 +56,14 @@ class Circuit {
   void add_mosfet(const MosfetParams& params, NodeId gate, NodeId drain,
                   NodeId source);
 
-  /// DC operating point with the sources at their t = 0 values.
+  /// DC operating point with the sources at their t = 0 values. Throws
+  /// dh::ConvergenceError when Newton does not converge, and dh::Error
+  /// when the linearized system is singular (e.g. conflicting sources).
   [[nodiscard]] DcSolution solve_dc() const;
 
   /// Backward-Euler transient from the DC point at t = 0 to a finite
-  /// `t_end`. Throws dh::Error for a probe naming no node or source.
+  /// `t_end`. Throws dh::Error for a probe naming no node or source, and
+  /// dh::ConvergenceError naming t for a step Newton cannot solve.
   [[nodiscard]] TransientResult solve_transient(
       double t_end, double dt, const std::vector<Probe>& probes) const;
 
@@ -88,14 +88,16 @@ class Circuit {
   [[nodiscard]] std::size_t unknown_count() const {
     return node_count() - 1 + vsources_.size();
   }
-  void assemble(std::vector<double>& x_guess, double t, double gmin,
+  void assemble(const std::vector<double>& x_guess, double t,
                 const std::vector<double>* x_prev, double dt,
                 class AssembleOut& out) const;
-  [[nodiscard]] std::optional<std::vector<double>> newton_solve(
-      std::vector<double> x0, double t, double gmin,
-      const std::vector<double>* x_prev, double dt, int* iters_out) const;
+  /// Damped Newton from `x`; `x_prev` is null for the DC point and the
+  /// previous step's solution for a transient step at time t.
+  [[nodiscard]] std::vector<double> newton_solve(
+      std::vector<double> x, double t, const std::vector<double>* x_prev,
+      double dt) const;
 
-  std::vector<std::string> node_names_{"0"};
+  std::size_t node_count_ = 1;  // ground is node 0
   std::vector<Resistor> resistors_;
   std::vector<Capacitor> capacitors_;
   std::vector<Vsource> vsources_;

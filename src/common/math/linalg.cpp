@@ -25,17 +25,20 @@ std::vector<double> Matrix::multiply(std::span<const double> x) const {
   return y;
 }
 
-LuFactorization::LuFactorization(const Matrix& a) : lu_(a), perm_(a.rows()) {
+std::vector<double> solve_dense(const Matrix& a, std::span<const double> b) {
   DH_REQUIRE(a.rows() == a.cols(), "LU requires a square matrix");
-  const std::size_t n = lu_.rows();
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+  const std::size_t n = a.rows();
+  DH_REQUIRE(b.size() == n, "rhs dimension mismatch");
+  Matrix lu = a;
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivot.
     std::size_t pivot = k;
-    double best = std::abs(lu_(k, k));
+    double best = std::abs(lu(k, k));
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double v = std::abs(lu_(r, k));
+      const double v = std::abs(lu(r, k));
       if (v > best) {
         best = v;
         pivot = r;
@@ -52,44 +55,36 @@ LuFactorization::LuFactorization(const Matrix& a) : lu_(a), perm_(a.rows()) {
     }
     if (pivot != k) {
       for (std::size_t c = 0; c < n; ++c) {
-        std::swap(lu_(k, c), lu_(pivot, c));
+        std::swap(lu(k, c), lu(pivot, c));
       }
-      std::swap(perm_[k], perm_[pivot]);
+      std::swap(perm[k], perm[pivot]);
     }
-    const double inv_pivot = 1.0 / lu_(k, k);
+    const double inv_pivot = 1.0 / lu(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double factor = lu_(r, k) * inv_pivot;
-      lu_(r, k) = factor;
+      const double factor = lu(r, k) * inv_pivot;
+      lu(r, k) = factor;
       if (factor == 0.0) continue;
       for (std::size_t c = k + 1; c < n; ++c) {
-        lu_(r, c) -= factor * lu_(k, c);
+        lu(r, c) -= factor * lu(k, c);
       }
     }
   }
-}
 
-std::vector<double> LuFactorization::solve(std::span<const double> b) const {
-  const std::size_t n = lu_.rows();
-  DH_REQUIRE(b.size() == n, "rhs dimension mismatch");
   std::vector<double> x(n);
   // Apply permutation, forward substitution (unit lower).
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
+  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm[i]];
   for (std::size_t i = 1; i < n; ++i) {
     double acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
+    for (std::size_t j = 0; j < i; ++j) acc -= lu(i, j) * x[j];
     x[i] = acc;
   }
   // Back substitution (upper).
   for (std::size_t ii = n; ii-- > 0;) {
     double acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
-    x[ii] = acc / lu_(ii, ii);
+    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu(ii, j) * x[j];
+    x[ii] = acc / lu(ii, ii);
   }
   return x;
-}
-
-std::vector<double> solve_dense(const Matrix& a, std::span<const double> b) {
-  return LuFactorization{a}.solve(b);
 }
 
 void factor_tridiagonal(std::span<const double> lower,

@@ -1,6 +1,6 @@
-// Dense linear algebra kernels used by the MNA circuit solver, the
-// thermal grid, and the PDN IR-drop solver, plus the Thomas algorithm used
-// by the Korhonen EM PDE integrator.
+// Dense linear algebra kernels used by the MNA circuit solver and the
+// PDN's uncached reference solve, plus the Thomas algorithm used by the
+// Korhonen EM PDE integrator.
 #pragma once
 
 #include <cstddef>
@@ -40,26 +40,8 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// LU factorization with partial pivoting (in place), reusable for
-/// repeated solves against the same matrix (e.g. linear circuits, thermal
-/// grids with fixed conductances).
-class LuFactorization {
- public:
-  /// Factorizes a copy of `a`. Throws dh::Error if `a` is singular to
-  /// working precision.
-  explicit LuFactorization(const Matrix& a);
-
-  /// Solves A x = b.
-  [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
-
-  [[nodiscard]] std::size_t dim() const { return lu_.rows(); }
-
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-};
-
-/// One-shot dense solve: A x = b.
+/// Dense solve A x = b by LU factorization with partial pivoting of a
+/// copy of `a`. Throws dh::Error if `a` is singular to working precision.
 [[nodiscard]] std::vector<double> solve_dense(const Matrix& a,
                                               std::span<const double> b);
 

@@ -39,7 +39,7 @@ struct CompactEmParams {
 struct EmStepFactors {
   Kelvin temperature{0.0};
   double dt_s = 0.0;
-  EmKinetics kinetics;  // kT, kappa(T), e*Z*rho(T), D*e*Z*rho(T)
+  EmKinetics kinetics;  // kT, D(T), kappa(T), e*Z*rho(T), D*e*Z*rho(T)
   double sqrt_kappa = 0.0;
   std::array<double, 3> pool_decay{};  // exp(-dt / tau_k(T))
   double void_conversion = 0.0;        // 1 - exp(-fix_rate(T) * dt)

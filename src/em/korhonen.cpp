@@ -74,10 +74,17 @@ void KorhonenSolver::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
     return;
   }
   const Kelvin t = to_kelvin(temperature);
+  const EmKinetics k = material_.kinetics(t, wire_.resistivity_at(t));
+  const StepTerms terms{.t = t,
+                        .kappa = k.kappa,
+                        .g = k.driving_force(j),
+                        .fix_rate = material_.fix_rate(t),
+                        .current_a = wire_.current_for_density(j).value(),
+                        .diffusivity = k.diffusivity};
   double remaining = dt.value();
   while (remaining > 0.0 && !broken_) {
     const double h = std::min(remaining, kMaxSubstepS);
-    substep(j, t, h);
+    substep(terms, h);
     remaining -= h;
   }
 }
@@ -131,11 +138,10 @@ void KorhonenSolver::refresh_wind(double kappa, double g) {
   wind_g_ = g;
 }
 
-void KorhonenSolver::substep(AmpsPerM2 j, Kelvin t, double dt) {
+void KorhonenSolver::substep(const StepTerms& s, double dt) {
   const std::size_t n = x_.size();
-  const double kappa = material_.kappa(t);
-  const double rho = wire_.resistivity_at(t);
-  const double g = material_.driving_force(rho, j);  // Pa/m
+  const double kappa = s.kappa;
+  const double g = s.g;
 
   // Backward Euler: (I/dt - A) sigma^{n+1} = sigma^n/dt + b, where b
   // carries the wind flux through each face of a non-Dirichlet cell.
@@ -167,24 +173,22 @@ void KorhonenSolver::substep(AmpsPerM2 j, Kelvin t, double dt) {
     return kappa *
            ((sigma_[left_node + 1] - sigma_[left_node]) / h + g);  // Pa*m/s
   };
-  const double fix = material_.fix_rate(t);
-  const Amps current = wire_.current_for_density(j);
   auto evolve_void = [&](VoidState& v, double signed_flux) {
     if (!v.open) return;
     // Current crowding: the liner shunt around the void dissipates
     // I^2*dR locally and raises the local diffusivity.
     const double dr_void = wire_.liner_ohm_per_m * v.total_m();
-    const double p_local =
-        current.value() * current.value() * dr_void;
-    const Kelvin t_local{t.value() + kVoidCrowdingThetaKPerW * p_local};
+    const double p_local = s.current_a * s.current_a * dr_void;
+    const Kelvin t_local{s.t.value() + kVoidCrowdingThetaKPerW * p_local};
     const double heat_boost =
-        material_.diffusivity(t_local) / material_.diffusivity(t);
+        material_.diffusivity(t_local) / s.diffusivity;
     const double rate = signed_flux * heat_boost / kBulkModulusPa;
     // Growth feeds the slit with partial efficiency; healing refills the
     // slit at full efficiency.
     v.mobile_len_m += rate * (rate > 0.0 ? kSlitEfficiency : 1.0) * dt;
     // First-order immobilization of the healable length.
-    const double converted = v.mobile_len_m * (1.0 - std::exp(-fix * dt));
+    const double converted =
+        v.mobile_len_m * (1.0 - std::exp(-s.fix_rate * dt));
     if (converted > 0.0) {
       v.mobile_len_m -= converted;
       v.fixed_len_m += converted;

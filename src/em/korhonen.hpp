@@ -81,7 +81,16 @@ class KorhonenSolver {
   [[nodiscard]] const EmMaterialParams& material() const { return material_; }
 
  private:
-  void substep(AmpsPerM2 j, Kelvin t, double dt);
+  // What a step holds fixed across its substeps, evaluated once per step.
+  struct StepTerms {
+    Kelvin t;
+    double kappa;        // Korhonen kappa(T) (m^2/s)
+    double g;            // wind driving force G(j) at T (Pa/m)
+    double fix_rate;     // void immobilization rate at T (1/s)
+    double current_a;    // wire current (A)
+    double diffusivity;  // D(T) (m^2/s)
+  };
+  void substep(const StepTerms& s, double dt);
   void refactor(double kappa, double dt, bool dirichlet0, bool dirichletN);
   void refresh_wind(double kappa, double g);
   void maybe_nucleate(WireEnd end);

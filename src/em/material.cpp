@@ -79,6 +79,7 @@ EmKinetics EmMaterialParams::kinetics(Kelvin t,
   const double d = diffusivity(t);
   const double kt_j = thermal_energy_j(t);
   return EmKinetics{.kt_j = kt_j,
+                    .diffusivity = d,
                     .kappa = kappa_of(d, kt_j),
                     .wind_charge = wind_charge_of(resistivity_ohm_m),
                     .drift_charge = drift_charge_of(d, resistivity_ohm_m)};

@@ -25,10 +25,12 @@ inline constexpr double kSlitEfficiency = 0.35;
 
 /// The EM kinetics of one material in one wire at one temperature, each
 /// term evaluated once. CompactEm::factors keeps one per grid step and
-/// shares it across every segment; the results match driving_force,
-/// drift_velocity and kappa bit for bit.
+/// shares it across every segment, and KorhonenSolver::step one across its
+/// substeps; the results match diffusivity, driving_force, drift_velocity
+/// and kappa bit for bit.
 struct EmKinetics {
   double kt_j = 0.0;          // kT (J)
+  double diffusivity = 0.0;   // D (m^2/s)
   double kappa = 0.0;         // Korhonen kappa (m^2/s)
   double wind_charge = 0.0;   // e*Z*rho (C*Ohm*m)
   double drift_charge = 0.0;  // D*e*Z*rho (C*Ohm*m^3/s)

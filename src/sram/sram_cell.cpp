@@ -53,9 +53,9 @@ std::vector<double> inverter_vtc(Volts pmos_dvth, Volts nmos_dvth,
   out.reserve(vin.size());
   for (const double v : vin) {
     circuit::Circuit c;
-    const auto vdd = c.add_node("vdd");
-    const auto in = c.add_node("in");
-    const auto o = c.add_node("out");
+    const auto vdd = c.add_node();
+    const auto in = c.add_node();
+    const auto o = c.add_node();
     (void)c.add_voltage_source(vdd, circuit::Circuit::ground(),
                                circuit::Waveform::dc(kVdd.value()));
     (void)c.add_voltage_source(in, circuit::Circuit::ground(),
