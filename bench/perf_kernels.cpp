@@ -16,6 +16,7 @@
 #include "em/compact_em.hpp"
 #include "em/em_sensor.hpp"
 #include "em/korhonen.hpp"
+#include "logic/logic_netlist.hpp"
 #include "pdn/aging_pdn.hpp"
 #include "pdn/pdn_grid.hpp"
 #include "sched/core_model.hpp"
@@ -142,6 +143,19 @@ void BM_SramArrayStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SramArrayStep)->Arg(64);
+
+// One day of bench/logic_aging_sta.cpp's clock-gated strategy: a 24 h
+// kOperating quantum of make_c17_plus() at 85 C, every gate's two devices
+// stressed for their signal-probability share, then resting, in one batch.
+void BM_LogicAge(benchmark::State& state) {
+  logic::LogicNetlist net = logic::make_c17_plus();
+  for (auto _ : state) {
+    net.age(logic::LogicMode::kOperating, Celsius{85.0}, hours(24.0));
+    benchmark::DoNotOptimize(&net);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LogicAge);
 
 void BM_KorhonenStep(benchmark::State& state) {
   em::KorhonenSolver solver{em::paper_wire(),

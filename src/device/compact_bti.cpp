@@ -126,24 +126,33 @@ inline void recover(const BtiCondition& condition, double dt, double& fast,
   pl *= std::exp(-dt * anneal * 1e-3);
 }
 
+}  // namespace
+
 /// One round of apply_batch's stressed devices, one array per field so
 /// the substep loop over the lanes vectorizes. The lanes are kept in
 /// order of step count, longest first, so the chains that finish first
 /// are always the last live lanes.
-struct Lanes {
+struct CompactBti::Lanes {
   std::array<double, kLanes> g{};
   std::array<double, kLanes> h{};
   std::array<double, kLanes> pu{};
   std::array<double, kLanes> pl{};
   std::array<int, kLanes> substeps{};
-  std::array<double*, kLanes> pu_out{};  // the device's state
-  std::array<double*, kLanes> pl_out{};
+  std::array<const BtiJob*, kLanes> job{};  // the device and its relax tail
   std::size_t count = 0;
 
   [[nodiscard]] bool full() const { return count == kLanes; }
 
-  /// Adds a chain behind every lane with at least as many steps.
-  void add(const PrecursorChain& c, double& pu_state, double& pl_state) {
+  /// The job's relax interval, applied once its first interval is done:
+  /// the one place a job's stress-then-relax order is kept.
+  static void relax_tail(const BtiJob& j) {
+    if (j.relax_dt.value() == 0.0) return;
+    CompactBti& d = *j.device;
+    recover(j.relax, j.relax_dt.value(), d.fast_, d.slow_, d.pu_, d.pl_);
+  }
+
+  /// Adds a job's chain behind every lane with at least as many steps.
+  void add(const PrecursorChain& c, const BtiJob& j) {
     std::size_t k = count++;
     for (; k > 0 && substeps[k - 1] < c.substeps; --k) {
       g[k] = g[k - 1];
@@ -151,21 +160,20 @@ struct Lanes {
       pu[k] = pu[k - 1];
       pl[k] = pl[k - 1];
       substeps[k] = substeps[k - 1];
-      pu_out[k] = pu_out[k - 1];
-      pl_out[k] = pl_out[k - 1];
+      job[k] = job[k - 1];
     }
     g[k] = c.g;
     h[k] = c.h;
-    pu[k] = pu_state;
-    pl[k] = pl_state;
+    pu[k] = j.device->pu_;
+    pl[k] = j.device->pl_;
     substeps[k] = c.substeps;
-    pu_out[k] = &pu_state;
-    pl_out[k] = &pl_state;
+    job[k] = &j;
   }
 
   /// Runs every chain to its own step count, all live chains one substep
-  /// at a time; a chain that is done writes its state back to its device
-  /// and leaves the live tail. Empties the round.
+  /// at a time; a chain that is done writes its state back to its device,
+  /// which then takes its relax tail, and leaves the live tail. Empties
+  /// the round.
   void advance() {
     int done = 0;
     std::size_t live = count;
@@ -177,19 +185,30 @@ struct Lanes {
         }
       }
       for (; live > 0 && substeps[live - 1] == until; --live) {
-        *pu_out[live - 1] = pu[live - 1];
-        *pl_out[live - 1] = pl[live - 1];
+        const BtiJob& j = *job[live - 1];
+        j.device->pu_ = pu[live - 1];
+        j.device->pl_ = pl[live - 1];
+        relax_tail(j);
       }
     }
     count = 0;
   }
 };
 
+namespace {
+
 /// Throws dh::Error unless the condition's gate bias is finite: a NaN or
 /// +inf bias would turn the state to NaN, and -inf would wipe it.
 void require_finite_bias(const BtiCondition& condition) {
   DH_REQUIRE(std::isfinite(condition.gate_bias.value()),
              "gate bias must be finite");
+}
+
+/// The checks apply makes on an interval before it moves the device.
+void require_valid_interval(const BtiCondition& condition, Seconds dt) {
+  CompactBti::require_valid_dt(dt);
+  CompactBti::require_valid_temperature(condition.temperature);
+  require_finite_bias(condition);
 }
 
 /// True when no device appears in two jobs. Devices at ascending addresses
@@ -225,9 +244,7 @@ void CompactBti::require_valid_temperature(Celsius temperature) {
 }
 
 void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
-  require_valid_dt(dt);
-  require_valid_temperature(condition.temperature);
-  require_finite_bias(condition);
+  require_valid_interval(condition, dt);
   if (dt.value() == 0.0) return;
   if (!condition.is_stress()) {
     recover(condition, dt.value(), fast_, slow_, pu_, pl_);
@@ -246,23 +263,25 @@ void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
 void CompactBti::apply_batch(std::span<const BtiJob> jobs) {
   for (const BtiJob& job : jobs) {
     DH_REQUIRE(job.device != nullptr, "batch job has no device");
-    require_valid_dt(job.dt);
-    require_valid_temperature(job.condition.temperature);
-    require_finite_bias(job.condition);
+    require_valid_interval(job.condition, job.dt);
+    require_valid_interval(job.relax, job.relax_dt);
+    DH_REQUIRE(!job.relax.is_stress() || job.relax_dt.value() == 0.0,
+               "a job's relax interval must not stress the device");
   }
   DH_REQUIRE(distinct_devices(jobs), "a device appears twice in one batch");
 
   Lanes lanes;
   for (const BtiJob& job : jobs) {
-    if (job.dt.value() == 0.0) continue;
     CompactBti& d = *job.device;
-    if (!job.condition.is_stress()) {
-      recover(job.condition, job.dt.value(), d.fast_, d.slow_, d.pu_, d.pl_);
+    const double dt = job.dt.value();
+    if (dt > 0.0 && job.condition.is_stress()) {
+      // The chain's writeback in Lanes::advance applies the relax tail.
+      lanes.add(stress_prelude(job.condition, dt, d.fast_, d.slow_), job);
+      if (lanes.full()) lanes.advance();
       continue;
     }
-    lanes.add(stress_prelude(job.condition, job.dt.value(), d.fast_, d.slow_),
-              d.pu_, d.pl_);
-    if (lanes.full()) lanes.advance();
+    if (dt > 0.0) recover(job.condition, dt, d.fast_, d.slow_, d.pu_, d.pl_);
+    Lanes::relax_tail(job);
   }
   lanes.advance();
 }

@@ -25,11 +25,15 @@ namespace dh::device {
 
 class CompactBti;
 
-/// One interval of one device in a CompactBti::apply_batch call.
+/// One device's quantum in a CompactBti::apply_batch call: `condition`
+/// for `dt`, then the non-stress `relax` condition for `relax_dt`. A
+/// zero-length interval is skipped.
 struct BtiJob {
   CompactBti* device = nullptr;
   BtiCondition condition{};
   Seconds dt{0.0};
+  BtiCondition relax{};
+  Seconds relax_dt{0.0};
 };
 
 class CompactBti {
@@ -39,12 +43,14 @@ class CompactBti {
   /// gate bias must be finite.
   void apply(const BtiCondition& condition, Seconds dt);
 
-  /// Apply every job as `job.device->apply(job.condition, job.dt)` would,
-  /// bit for bit, but advance the stressed devices' precursor chains in
-  /// lockstep so their independent substeps overlap in the pipeline.
-  /// Every job's `dt`, temperature and bias are checked, and a device
-  /// appearing in two jobs is rejected, before any device changes: a
-  /// throwing batch leaves every device as it was.
+  /// Apply every job as `d.apply(job.condition, job.dt);
+  /// d.apply(job.relax, job.relax_dt)` would, bit for bit, but advance the
+  /// stressed devices' precursor chains in lockstep so their independent
+  /// substeps overlap in the pipeline. Both intervals' lengths,
+  /// temperatures and biases are checked, a stress `relax` with a
+  /// non-zero `relax_dt` and a device appearing in two jobs are rejected,
+  /// all before any device changes: a throwing batch leaves every device
+  /// as it was.
   static void apply_batch(std::span<const BtiJob> jobs);
 
   /// Throws dh::Error unless `dt` is a step apply accepts: finite,
@@ -66,6 +72,8 @@ class CompactBti {
   void load_state(ckpt::Deserializer& d);
 
  private:
+  struct Lanes;  // apply_batch's lockstep chains (compact_bti.cpp)
+
   double fast_ = 0.0;
   double slow_ = 0.0;
   double pu_ = 0.0;

@@ -141,11 +141,6 @@ std::vector<bool> LogicNetlist::evaluate(
 
 void LogicNetlist::age(LogicMode mode, Celsius temperature, Seconds dt,
                        const std::vector<bool>& idle_vector) {
-  // A negative or NaN dt would fail every kOperating interval's > 0 test
-  // and be skipped silently. Every interval is at most dt, so these
-  // checks clear every batch below before any device changes.
-  device::CompactBti::require_valid_dt(dt);
-  device::CompactBti::require_valid_temperature(temperature);
   const device::BtiCondition stress{kVdd, temperature};
   const device::BtiCondition rest{Volts{0.0}, temperature};
   const device::BtiCondition heal{kRecoveryBias, temperature};
@@ -155,24 +150,15 @@ void LogicNetlist::age(LogicMode mode, Celsius temperature, Seconds dt,
     case LogicMode::kOperating: {
       // Duty-cycle approximation: the pull-up is stressed while the
       // output is 1 (dt*p) and rests while it is 0 (dt*(1-p)); the
-      // pull-down the other way round. Every stressed interval goes in
-      // the first batch and every rest interval in the second, which
-      // applies after: each device keeps its stress-then-rest order.
+      // pull-down the other way round.
       const std::vector<double> p = signal_probabilities();
-      for (const bool stressed : {true, false}) {
-        const device::BtiCondition& c = stressed ? stress : rest;
-        for (std::size_t i = 0; i < gates_.size(); ++i) {
-          Gate& g = gates_[i];
-          if (g.kind == GateKind::kInput) continue;
-          const Seconds high{dt.value() * p[i]};
-          const Seconds low{dt.value() * (1.0 - p[i])};
-          const Seconds up = stressed ? high : low;
-          const Seconds down = stressed ? low : high;
-          if (up.value() > 0.0) jobs_.push_back({&g.pull_up, c, up});
-          if (down.value() > 0.0) jobs_.push_back({&g.pull_down, c, down});
-        }
-        device::CompactBti::apply_batch(jobs_);
-        jobs_.clear();
+      for (std::size_t i = 0; i < gates_.size(); ++i) {
+        Gate& g = gates_[i];
+        if (g.kind == GateKind::kInput) continue;
+        const Seconds high{dt.value() * p[i]};
+        const Seconds low{dt.value() * (1.0 - p[i])};
+        jobs_.push_back({&g.pull_up, stress, high, rest, low});
+        jobs_.push_back({&g.pull_down, stress, low, rest, high});
       }
       break;
     }
@@ -184,18 +170,18 @@ void LogicNetlist::age(LogicMode mode, Celsius temperature, Seconds dt,
         jobs_.push_back({&g.pull_up, v[i] ? stress : rest, dt});
         jobs_.push_back({&g.pull_down, v[i] ? rest : stress, dt});
       }
-      device::CompactBti::apply_batch(jobs_);
       break;
     }
     case LogicMode::kActiveRecovery: {
       for (auto& g : gates_) {
         if (g.kind == GateKind::kInput) continue;
-        g.pull_up.apply(heal, dt);
-        g.pull_down.apply(heal, dt);
+        jobs_.push_back({&g.pull_up, heal, dt});
+        jobs_.push_back({&g.pull_down, heal, dt});
       }
       break;
     }
   }
+  device::CompactBti::apply_batch(jobs_);
 }
 
 Seconds LogicNetlist::gate_delay(GateId g) const {

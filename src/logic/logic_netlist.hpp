@@ -54,10 +54,11 @@ class LogicNetlist {
       const std::vector<bool>& input_vector) const;
 
   /// Advance wearout for one quantum in the given mode. `idle_vector` is
-  /// required for kIdleVector. kOperating and kIdleVector step every
-  /// device in lockstep (CompactBti::apply_batch), with the same results
-  /// bit for bit as applying each device's intervals in turn. `dt` and
-  /// `temperature` are checked before any device changes.
+  /// required for kIdleVector. Every device steps in lockstep (one
+  /// CompactBti::apply_batch, one job per device: in kOperating its
+  /// stressed interval, then its rest), with the same results bit for bit
+  /// as applying each device's intervals in turn. `dt` and `temperature`
+  /// are checked before any device changes.
   void age(LogicMode mode, Celsius temperature, Seconds dt,
            const std::vector<bool>& idle_vector = {});
 

@@ -1,6 +1,7 @@
 #include "sched/core_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/ckpt/serialize.hpp"
@@ -48,46 +49,34 @@ void require_utilization(double utilization) {
 Core::Core(CoreParams params)
     : params_(params), ro_(kRo) {}
 
-std::size_t Core::quantum_jobs(CoreAction action, double utilization,
-                               Celsius temperature, Seconds dt,
-                               std::array<device::BtiJob, 2>& jobs) {
-  std::size_t n = 0;
+device::BtiJob Core::quantum_job(CoreAction action, double utilization,
+                                 Celsius temperature, Seconds dt) {
   switch (action) {
-    case CoreAction::kRun: {
+    case CoreAction::kRun:
       // Devices see stress for the utilized fraction of the quantum and
       // passive recovery for the rest (signal-probability averaging).
-      const Seconds stressed{dt.value() * utilization};
-      const Seconds relaxed{dt.value() * (1.0 - utilization)};
-      if (stressed.value() > 0.0) {
-        jobs[n++] = {&bti_, {kVdd, temperature}, stressed};
-      }
-      if (relaxed.value() > 0.0) {
-        jobs[n++] = {&bti_, {Volts{0.0}, temperature}, relaxed};
-      }
-      break;
-    }
+      return {&bti_, {kVdd, temperature}, Seconds{dt.value() * utilization},
+              {Volts{0.0}, temperature},
+              Seconds{dt.value() * (1.0 - utilization)}};
     case CoreAction::kIdle:
-      jobs[n++] = {&bti_, {Volts{0.0}, temperature}, dt};
-      break;
+      return {&bti_, {Volts{0.0}, temperature}, dt};
     case CoreAction::kBtiActiveRecovery:
-      jobs[n++] = {&bti_, {kActiveRecoveryBias, temperature}, dt};
-      break;
+      return {&bti_, {kActiveRecoveryBias, temperature}, dt};
   }
-  return n;
+  return {&bti_};
 }
 
 void Core::step(CoreAction action, double utilization, Celsius temperature,
                 Seconds dt) {
   require_utilization(utilization);
-  // kRun's intervals are dt*u and dt*(1-u), which skip a negative or NaN
-  // dt silently; the check makes every action reject it.
+  // Both of kRun's intervals are at most dt, so this check clears them
+  // before the device moves: without it a long enough dt could pass the
+  // stress part and throw on the relax part.
   device::CompactBti::require_valid_dt(dt);
-  std::array<device::BtiJob, 2> jobs{};
-  const std::size_t n = quantum_jobs(action, utilization, temperature, dt,
-                                     jobs);
-  for (std::size_t k = 0; k < n; ++k) {
-    bti_.apply(jobs[k].condition, jobs[k].dt);
-  }
+  const device::BtiJob job =
+      quantum_job(action, utilization, temperature, dt);
+  bti_.apply(job.condition, job.dt);
+  bti_.apply(job.relax, job.relax_dt);
 }
 
 void Core::step_all(std::span<Core> cores,
@@ -104,28 +93,20 @@ void Core::step_all(std::span<Core> cores,
     device::CompactBti::require_valid_temperature(t);
   }
   // Every interval is dt, dt*u or dt*(1-u) with u in [0,1], never longer
-  // than dt, so this one check clears every batch below before any core
-  // changes.
+  // than dt, so this one check clears every chunk's batch below before
+  // any core changes.
   device::CompactBti::require_valid_dt(dt);
-  // Fixed chunks keep the job lists on the stack. Each core's first
-  // interval goes into `first` and its second (the relax part of a kRun)
-  // into `second`, which applies after, keeping stress-then-relax order.
+  // Fixed chunks keep the job list on the stack.
   constexpr std::size_t kChunk = 32;
-  std::array<device::BtiJob, kChunk> first{};
-  std::array<device::BtiJob, kChunk> second{};
+  std::array<device::BtiJob, kChunk> jobs{};
   for (std::size_t begin = 0; begin < cores.size(); begin += kChunk) {
-    const std::size_t end = std::min(cores.size(), begin + kChunk);
-    std::size_t n_first = 0;
-    std::size_t n_second = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      std::array<device::BtiJob, 2> jobs{};
-      const std::size_t n = cores[i].quantum_jobs(
-          actions[i], utilization[i], temperatures[i], dt, jobs);
-      if (n > 0) first[n_first++] = jobs[0];
-      if (n > 1) second[n_second++] = jobs[1];
+    const std::size_t n = std::min(cores.size() - begin, kChunk);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = begin + k;
+      jobs[k] = cores[i].quantum_job(actions[i], utilization[i],
+                                     temperatures[i], dt);
     }
-    device::CompactBti::apply_batch({first.data(), n_first});
-    device::CompactBti::apply_batch({second.data(), n_second});
+    device::CompactBti::apply_batch({jobs.data(), n});
   }
 }
 

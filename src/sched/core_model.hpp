@@ -3,7 +3,6 @@
 // PDN.
 #pragma once
 
-#include <array>
 #include <span>
 
 #include "common/units.hpp"
@@ -38,9 +37,9 @@ class Core {
   /// Advance every core one quantum, with the same results bit for bit as
   /// `cores[i].step(actions[i], utilization[i], temperatures[i], dt)` for
   /// each i, but with all cores' BTI stepped in lockstep
-  /// (CompactBti::apply_batch). Every utilization, temperature and `dt`
-  /// (which must pass CompactBti::require_valid_dt) are checked before any
-  /// core changes. Allocates nothing.
+  /// (CompactBti::apply_batch, one job per core). Every utilization,
+  /// temperature and `dt` (which must pass CompactBti::require_valid_dt)
+  /// are checked before any core changes. Allocates nothing.
   static void step_all(std::span<Core> cores,
                        std::span<const CoreAction> actions,
                        std::span<const double> utilization,
@@ -71,12 +70,11 @@ class Core {
   void load_state(ckpt::Deserializer& d);
 
  private:
-  /// The BTI intervals one quantum puts on this core, in the order they
-  /// apply: a stress interval, a relax interval, or both. Returns how many
-  /// of `jobs` it filled.
-  std::size_t quantum_jobs(CoreAction action, double utilization,
-                           Celsius temperature, Seconds dt,
-                           std::array<device::BtiJob, 2>& jobs);
+  /// The BTI job one quantum puts on this core: a kRun stresses it for
+  /// `dt·u` and then relaxes it for `dt·(1 − u)`; the other actions hold
+  /// one condition for `dt`.
+  device::BtiJob quantum_job(CoreAction action, double utilization,
+                             Celsius temperature, Seconds dt);
 
   CoreParams params_;
   device::CompactBti bti_;

@@ -1,6 +1,7 @@
 #include "sensors/ro_pair_sensor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -23,17 +24,16 @@ void RoPairSensor::step(double stress_duty, Volts supply_bias,
                         Celsius temperature, Seconds dt) {
   DH_REQUIRE(stress_duty >= 0.0 && stress_duty <= 1.0,
              "stress duty must be in [0,1]");
+  // The reference RO spends the whole quantum in active recovery, so it
+  // stays effectively fresh for the sensor's lifetime. One batch checks
+  // both jobs before either RO moves.
   const Seconds on{dt.value() * stress_duty};
   const Seconds off{dt.value() * (1.0 - stress_duty)};
-  if (on.value() > 0.0) {
-    stressed_.apply({supply_bias, temperature}, on);
-  }
-  if (off.value() > 0.0) {
-    stressed_.apply({Volts{0.0}, temperature}, off);
-  }
-  // The reference RO spends the whole quantum in active recovery, so it
-  // stays effectively fresh for the sensor's lifetime.
-  reference_.apply({kRecoveryBias, temperature}, dt);
+  const std::array<device::BtiJob, 2> jobs{
+      {{&stressed_, {supply_bias, temperature}, on, {Volts{0.0}, temperature},
+        off},
+       {&reference_, {kRecoveryBias, temperature}, dt}}};
+  device::CompactBti::apply_batch(jobs);
 }
 
 double RoPairSensor::quantized_frequency(const device::CompactBti& dev) {

@@ -1,7 +1,6 @@
 #include "sram/sram_array.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -19,7 +18,7 @@ SramArray::SramArray(SramArrayParams params)
   DH_REQUIRE(params_.cells >= 1, "array needs at least one cell");
   cells_.reserve(params_.cells);
   bits_.reserve(params_.cells);
-  jobs_.reserve(4 * params_.cells);  // two devices, hold and boost
+  jobs_.reserve(2 * params_.cells);  // one job per PMOS
   for (std::size_t i = 0; i < params_.cells; ++i) {
     cells_.emplace_back();
     bits_.push_back(rng_.bernoulli(kPOne));
@@ -30,9 +29,9 @@ void SramArray::step(Celsius temperature, Seconds dt,
                      double boost_fraction) {
   DH_REQUIRE(boost_fraction >= 0.0 && boost_fraction <= 1.0,
              "boost fraction must be in [0,1]");
-  // Checked before any bit is drawn: a negative or NaN dt would fail
-  // every interval's > 0 test below and be skipped silently. Both
-  // intervals are at most dt, so the batches cannot throw.
+  // Checked before any bit is drawn: a negative or NaN dt would
+  // otherwise fail only in the batch, after a flipping array had drawn
+  // new bits. Both intervals are at most dt, so the batch cannot throw.
   device::CompactBti::require_valid_dt(dt);
   device::CompactBti::require_valid_temperature(temperature);
   const Seconds hold{dt.value() * (1.0 - boost_fraction)};
@@ -44,25 +43,14 @@ void SramArray::step(Celsius temperature, Seconds dt,
       bits_[i] = rng_.bernoulli(kPOne);
     }
   }
-  // Every hold interval goes in the first batch and every boost interval
-  // in the second, which applies after: each device keeps its
-  // hold-then-boost order.
   jobs_.clear();
-  const auto add = [&](CellMode mode, Seconds interval) {
-    if (interval.value() <= 0.0) return;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      for (const device::BtiJob& job :
-           cells_[i].jobs(mode, bits_[i], temperature, interval)) {
-        jobs_.push_back(job);
-      }
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    for (const device::BtiJob& job :
+         cells_[i].jobs(bits_[i], temperature, hold, boost)) {
+      jobs_.push_back(job);
     }
-  };
-  add(CellMode::kHold, hold);
-  const std::size_t n_hold = jobs_.size();
-  add(CellMode::kRecoveryBoost, boost);
-  const std::span<const device::BtiJob> all{jobs_};
-  device::CompactBti::apply_batch(all.first(n_hold));
-  device::CompactBti::apply_batch(all.subspan(n_hold));
+  }
+  device::CompactBti::apply_batch(jobs_);
 }
 
 SramArrayHealth SramArray::scan_health() const {

@@ -34,11 +34,11 @@ class SramArray {
   explicit SramArray(SramArrayParams params);
 
   /// Advance the whole array: `boost_fraction` of the quantum is spent in
-  /// recovery boost (cells idle), the rest holding data. Every cell's
-  /// devices step in lockstep (CompactBti::apply_batch), with the same
-  /// results bit for bit as SramCell::step cell by cell. `dt` and
-  /// `temperature` are checked before any bit is drawn or any cell
-  /// changes. Allocates nothing.
+  /// recovery boost (cells idle), after the rest is spent holding data.
+  /// Every cell's devices step in lockstep (one CompactBti::apply_batch of
+  /// SramCell::jobs), with the same results bit for bit as SramCell::step
+  /// cell by cell, hold then boost. `dt` and `temperature` are checked
+  /// before any bit is drawn or any cell changes. Allocates nothing.
   void step(Celsius temperature, Seconds dt, double boost_fraction = 0.0);
 
   /// Full-accuracy health scan (computes every cell's SNM; O(cells)

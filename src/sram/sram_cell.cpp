@@ -24,24 +24,27 @@ static_assert(kVdd.value() > kPmosVth,
 
 void SramCell::step(CellMode mode, bool stored_bit, Celsius temperature,
                     Seconds dt) {
-  for (const device::BtiJob& job : jobs(mode, stored_bit, temperature, dt)) {
+  const bool boost = mode == CellMode::kRecoveryBoost;
+  for (const device::BtiJob& job :
+       jobs(stored_bit, temperature, boost ? Seconds{0.0} : dt,
+            boost ? dt : Seconds{0.0})) {
     job.device->apply(job.condition, job.dt);
+    job.device->apply(job.relax, job.relax_dt);
   }
 }
 
-std::array<device::BtiJob, 2> SramCell::jobs(CellMode mode, bool stored_bit,
+std::array<device::BtiJob, 2> SramCell::jobs(bool stored_bit,
                                              Celsius temperature,
-                                             Seconds dt) {
-  if (mode == CellMode::kRecoveryBoost) {
-    const device::BtiCondition boost{kRecoveryBias, temperature};
-    return {{{&left_pmos_, boost, dt}, {&right_pmos_, boost, dt}}};
-  }
+                                             Seconds hold, Seconds boost) {
   // Holding: the PMOS on the "1" side conducts, |Vsg| = VDD (NBTI
-  // stress).
+  // stress). Boosting: both PMOS heal.
   const device::BtiCondition stressed{kVdd, temperature};
   const device::BtiCondition resting{Volts{0.0}, temperature};
-  return {{{&left_pmos_, stored_bit ? stressed : resting, dt},
-           {&right_pmos_, stored_bit ? resting : stressed, dt}}};
+  const device::BtiCondition healing{kRecoveryBias, temperature};
+  return {{{&left_pmos_, stored_bit ? stressed : resting, hold, healing,
+            boost},
+           {&right_pmos_, stored_bit ? resting : stressed, hold, healing,
+            boost}}};
 }
 
 Volts SramCell::left_pmos_dvth() const { return left_pmos_.delta_vth(); }

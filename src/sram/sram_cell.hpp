@@ -34,13 +34,14 @@ class SramCell {
   void step(CellMode mode, bool stored_bit, Celsius temperature,
             Seconds dt);
 
-  /// The two PMOS intervals (left, then right) that `step` applies with
-  /// the same arguments, for stepping many cells in one
-  /// CompactBti::apply_batch.
-  [[nodiscard]] std::array<device::BtiJob, 2> jobs(CellMode mode,
-                                                   bool stored_bit,
+  /// The two PMOS jobs (left, then right) of a quantum spent holding
+  /// `stored_bit` for `hold` and then in recovery boost for `boost`, for
+  /// stepping many cells in one CompactBti::apply_batch. `step` applies
+  /// the jobs with `hold` or `boost` set to its `dt`.
+  [[nodiscard]] std::array<device::BtiJob, 2> jobs(bool stored_bit,
                                                    Celsius temperature,
-                                                   Seconds dt);
+                                                   Seconds hold,
+                                                   Seconds boost);
 
   /// Write the opposite bit (models data-flipping/rebalancing policies;
   /// free in this model — the stress side just changes on the next step).

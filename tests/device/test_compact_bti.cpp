@@ -146,27 +146,45 @@ TEST(CompactBti, RejectsNonFiniteOrOversizedDt) {
 TEST(CompactBti, BatchMatchesApplyBitForBit) {
   // More stressed devices than advance together, each with its own bias,
   // temperature, step lengths and substep counts, listed out of address
-  // order.
+  // order. Most jobs carry a relax tail (passive rest or active
+  // recovery), some behind a zero-length first interval.
   constexpr std::size_t kDevices = 45;
   std::vector<CompactBti> batched(kDevices);
   std::vector<CompactBti> single(kDevices);
   const BtiCondition recover{Volts{-0.3}, Celsius{70.0}};
+  const BtiCondition rest{Volts{0.0}, Celsius{45.0}};
   std::vector<BtiJob> jobs;
+  int stress_rest = 0;
+  int stress_recover = 0;
+  int empty_first = 0;
+  int empty_tail = 0;
   for (int round = 0; round < 20; ++round) {
     jobs.clear();
     for (std::size_t k = 0; k < kDevices; ++k) {
       const std::size_t i = (k * 17 + static_cast<std::size_t>(round)) %
                             kDevices;  // 17 is coprime to 45
-      const double minutes_long =
-          static_cast<double>((i * 13 + static_cast<std::size_t>(round) * 7) %
-                              400);  // 0 (a no-op) to 399 min
+      const auto r = static_cast<std::size_t>(round);
+      const Seconds first =
+          (i + r) % 7 == 0
+              ? Seconds{0.0}
+              : minutes(static_cast<double>((i * 13 + r * 7) % 400));
       const BtiCondition stress{Volts{0.8 + 0.01 * static_cast<double>(i % 9)},
                                 Celsius{60.0 + static_cast<double>(i)}};
-      const BtiCondition& c = (i + static_cast<std::size_t>(round)) % 5 == 0
-                                  ? recover
-                                  : stress;
-      jobs.push_back({&batched[i], c, minutes(minutes_long)});
-      single[i].apply(c, minutes(minutes_long));
+      const BtiCondition& c = (i + r) % 5 == 0 ? recover : stress;
+      const std::size_t tail_kind = (i + 2 * r) % 3;  // none, rest, recover
+      const BtiCondition& tail = tail_kind == 1 ? rest : recover;
+      const Seconds tail_dt =
+          tail_kind == 0 ? Seconds{0.0}
+                         : minutes(static_cast<double>(1 + (i * 11 + r * 3) %
+                                                               200));
+      jobs.push_back({&batched[i], c, first, tail, tail_dt});
+      single[i].apply(c, first);
+      single[i].apply(tail, tail_dt);
+      const bool stressed = c.is_stress() && first.value() > 0.0;
+      stress_rest += stressed && tail_kind == 1;
+      stress_recover += stressed && tail_kind == 2;
+      empty_first += first.value() == 0.0 && tail_dt.value() > 0.0;
+      empty_tail += stressed && tail_dt.value() == 0.0;
     }
     CompactBti::apply_batch(jobs);
     for (std::size_t i = 0; i < kDevices; ++i) {
@@ -174,6 +192,10 @@ TEST(CompactBti, BatchMatchesApplyBitForBit) {
           << "device " << i << " round " << round;
     }
   }
+  EXPECT_GT(stress_rest, 0);
+  EXPECT_GT(stress_recover, 0);
+  EXPECT_GT(empty_first, 0);
+  EXPECT_GT(empty_tail, 0);
   EXPECT_GT(batched[0].breakdown().locked.value(), 0.0);
 }
 
@@ -197,6 +219,22 @@ TEST(CompactBti, BatchRejectsBadJobWithoutMutating) {
     EXPECT_THROW(CompactBti::apply_batch(jobs), Error) << bad;
     check_unchanged();
   }
+  // A bad relax tail: negative, NaN, past 300 s x INT_MAX, or stressing.
+  for (const double bad :
+       {-1.0, std::numeric_limits<double>::quiet_NaN(), 1e12}) {
+    const std::array<BtiJob, 3> jobs{{{&d[0], stress, hours(6.0)},
+                                      {&d[1], recover, hours(6.0)},
+                                      {&d[2], stress, hours(6.0), recover,
+                                       Seconds{bad}}}};
+    EXPECT_THROW(CompactBti::apply_batch(jobs), Error) << bad;
+    check_unchanged();
+  }
+  const std::array<BtiJob, 3> stress_tail{{{&d[0], stress, hours(6.0)},
+                                           {&d[1], recover, hours(6.0)},
+                                           {&d[2], recover, hours(6.0),
+                                            stress, hours(1.0)}}};
+  EXPECT_THROW(CompactBti::apply_batch(stress_tail), Error);
+  check_unchanged();
   const std::array<BtiJob, 3> twice{{{&d[0], stress, hours(6.0)},
                                      {&d[1], stress, hours(6.0)},
                                      {&d[0], recover, hours(6.0)}}};
@@ -226,6 +264,17 @@ TEST(CompactBti, BatchRejectsBadTemperatureWithoutMutating) {
            {&d[1], BtiCondition{Volts{1.2}, Celsius{bad_c}}, hours(6.0)}}};
       EXPECT_THROW(CompactBti::apply_batch(jobs), Error) << bad_c;
       for (const CompactBti& m : d) EXPECT_EQ(state_bytes(m), before) << bad_c;
+      // The same temperature on a relax tail, even an empty one.
+      for (const double tail_s : {0.0, 3600.0}) {
+        const std::array<BtiJob, 2> tail_jobs{
+            {{&d[0], first, hours(6.0)},
+             {&d[1], paper_conditions::accelerated_stress(), hours(6.0),
+              BtiCondition{Volts{0.0}, Celsius{bad_c}}, Seconds{tail_s}}}};
+        EXPECT_THROW(CompactBti::apply_batch(tail_jobs), Error) << bad_c;
+        for (const CompactBti& m : d) {
+          EXPECT_EQ(state_bytes(m), before) << bad_c;
+        }
+      }
     }
   }
   // A single device rejects it too, even for an empty interval.
@@ -266,6 +315,14 @@ TEST(CompactBti, BatchRejectsNonFiniteBiasWithoutMutating) {
          {&d[1], paper_conditions::recovery_no4(), hours(6.0)},
          {&d[2], BtiCondition{Volts{v}, Celsius{110.0}}, hours(6.0)}}};
     EXPECT_THROW(CompactBti::apply_batch(jobs), Error) << v;
+    for (const CompactBti& m : d) EXPECT_EQ(state_bytes(m), before) << v;
+    // The same bias on a relax tail.
+    const std::array<BtiJob, 3> tail_jobs{
+        {{&d[0], paper_conditions::accelerated_stress(), hours(6.0)},
+         {&d[1], paper_conditions::recovery_no4(), hours(6.0)},
+         {&d[2], paper_conditions::accelerated_stress(), hours(6.0),
+          BtiCondition{Volts{v}, Celsius{110.0}}, hours(1.0)}}};
+    EXPECT_THROW(CompactBti::apply_batch(tail_jobs), Error) << v;
     for (const CompactBti& m : d) EXPECT_EQ(state_bytes(m), before) << v;
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.hpp"
@@ -55,6 +57,18 @@ TEST(RoPairSensor, MoreDutyMoreReading) {
 TEST(RoPairSensor, RejectsBadDuty) {
   RoPairSensor s = make_ro_pair();
   EXPECT_THROW(s.step(1.5, Volts{1.1}, Celsius{95.0}, hours(1.0)), Error);
+}
+
+TEST(RoPairSensor, RejectedStepChangesNothing) {
+  // Each half of 1e12 s passes the stressed RO's checks but the whole
+  // quantum fails the reference RO's: the stressed RO used to move first.
+  RoPairSensor s = make_ro_pair();
+  s.step(0.5, Volts{1.1}, Celsius{85.0}, hours(1.0));
+  const double before = s.true_dvth().value();
+  ASSERT_GT(before, 0.0);
+  EXPECT_THROW(s.step(0.5, Volts{1.1}, Celsius{85.0}, Seconds{1e12}), Error);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.true_dvth().value()),
+            std::bit_cast<std::uint64_t>(before));
 }
 
 // ---- EM canary bank -------------------------------------------------------
