@@ -1,5 +1,6 @@
 // Piecewise-linear interpolation on tabulated functions and grid
-// builders — used by the trap-density calibration and the Korhonen grid.
+// builders — used by TimeSeries::sample, PWL waveforms, the SRAM
+// butterfly curves and the Korhonen grid.
 #pragma once
 
 #include <span>
@@ -8,7 +9,8 @@
 namespace dh::math {
 
 /// Linear interpolation of (xs, ys) at x, clamped to the table range.
-/// xs must be strictly increasing; a NaN x throws dh::Error.
+/// xs must be non-decreasing: inside the table, a repeated abscissa is a
+/// step that takes the value of its last point. A NaN x throws dh::Error.
 [[nodiscard]] double interp_linear(std::span<const double> xs,
                                    std::span<const double> ys, double x);
 

@@ -7,6 +7,7 @@
 
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
+#include "common/math/interp.hpp"
 
 namespace dh {
 
@@ -55,18 +56,10 @@ double TimeSeries::back_value() const {
 
 double TimeSeries::sample(Seconds t) const {
   DH_REQUIRE(!times_.empty(), "cannot sample an empty time series");
-  const double x = t.value();
-  DH_REQUIRE(!std::isnan(x), "cannot sample a time series at a NaN time");
-  if (x <= times_.front()) return values_.front();
-  if (x >= times_.back()) return values_.back();
-  const auto it = std::upper_bound(times_.begin(), times_.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - times_.begin());
-  const std::size_t lo = hi - 1;
-  const double t0 = times_[lo];
-  const double t1 = times_[hi];
-  if (t1 == t0) return values_[hi];
-  const double w = (x - t0) / (t1 - t0);
-  return values_[lo] * (1.0 - w) + values_[hi] * w;
+  DH_REQUIRE(!std::isnan(t.value()),
+             "cannot sample a time series at a NaN time");
+  if (times_.size() == 1) return values_.front();
+  return math::interp_linear(times_, values_, t.value());
 }
 
 double TimeSeries::min_value() const {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/math/roots.hpp"
 
 namespace dh::device {
 
@@ -45,13 +44,18 @@ double RingOscillator::degradation(Volts delta_vth,
 }
 
 Volts RingOscillator::infer_delta_vth(Hertz measured) const {
+  // Inverts the alpha-power law f = f0 * ((od0 - dVth) / od0)^alpha at
+  // mu = 1 and the nominal supply.
+  const double f0 = params_.fresh_frequency.value();
+  if (measured.value() >= f0) return Volts{0.0};  // at/above fresh frequency
   const double overdrive0 = params_.vdd.value() - params_.vth0.value();
-  const double hi = overdrive0 * 0.95;
-  const auto f = [&](double dv) {
-    return frequency(Volts{dv}).value() - measured.value();
-  };
-  if (f(0.0) <= 0.0) return Volts{0.0};  // at/above fresh frequency
-  return Volts{math::brent_root(f, 0.0, hi, 1e-9)};
+  const double dv = overdrive0 * (1.0 - std::pow(measured.value() / f0,
+                                                 1.0 / params_.alpha));
+  // A NaN or negative frequency gives a NaN dv, zero gives dv = od0: all
+  // fail this check.
+  DH_REQUIRE(dv <= 0.95 * overdrive0,
+             "frequency below the readable floor (dVth > 0.95 overdrive)");
+  return Volts{dv};
 }
 
 }  // namespace dh::device

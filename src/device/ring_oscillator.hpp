@@ -33,8 +33,10 @@ class RingOscillator {
                                    double mobility_factor = 1.0) const;
 
   /// Inverts the frequency readout into an apparent Vth shift (what a
-  /// frequency-based wearout sensor reports). Brent root find on the
-  /// monotonic frequency curve.
+  /// frequency-based wearout sensor reports): the alpha-power law solved
+  /// for the shift at mu = 1 and the nominal supply. A frequency at or
+  /// above the fresh one reads 0; a NaN, non-positive or unreadably low
+  /// one (shift > 0.95 of the overdrive) throws dh::Error.
   [[nodiscard]] Volts infer_delta_vth(Hertz measured) const;
 
   [[nodiscard]] const RingOscillatorParams& params() const { return params_; }

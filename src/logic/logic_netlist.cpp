@@ -110,7 +110,13 @@ GateId LogicNetlist::add_gate(GateKind kind, GateId a, GateId b) {
 }
 
 std::vector<double> LogicNetlist::signal_probabilities() const {
-  std::vector<double> p(gates_.size(), 0.5);
+  std::vector<double> p;
+  signal_probabilities_into(p);
+  return p;
+}
+
+void LogicNetlist::signal_probabilities_into(std::vector<double>& p) const {
+  p.resize(gates_.size());
   for (std::size_t i = 0; i < gates_.size(); ++i) {
     const Gate& g = gates_[i];
     if (g.kind == GateKind::kInput) {
@@ -119,14 +125,20 @@ std::vector<double> LogicNetlist::signal_probabilities() const {
       p[i] = propagate_p(g.kind, p[g.a], p[g.b]);
     }
   }
-  return p;
 }
 
 std::vector<bool> LogicNetlist::evaluate(
     const std::vector<bool>& input_vector) const {
+  std::vector<bool> v;
+  evaluate_into(input_vector, v);
+  return v;
+}
+
+void LogicNetlist::evaluate_into(const std::vector<bool>& input_vector,
+                                 std::vector<bool>& v) const {
   DH_REQUIRE(input_vector.size() == inputs_.size(),
              "input vector size mismatch");
-  std::vector<bool> v(gates_.size(), false);
+  v.resize(gates_.size());
   std::size_t next_input = 0;
   for (std::size_t i = 0; i < gates_.size(); ++i) {
     const Gate& g = gates_[i];
@@ -136,7 +148,6 @@ std::vector<bool> LogicNetlist::evaluate(
       v[i] = eval_gate(g.kind, v[g.a], v[g.b]);
     }
   }
-  return v;
 }
 
 void LogicNetlist::age(LogicMode mode, Celsius temperature, Seconds dt,
@@ -151,24 +162,24 @@ void LogicNetlist::age(LogicMode mode, Celsius temperature, Seconds dt,
       // Duty-cycle approximation: the pull-up is stressed while the
       // output is 1 (dt*p) and rests while it is 0 (dt*(1-p)); the
       // pull-down the other way round.
-      const std::vector<double> p = signal_probabilities();
+      signal_probabilities_into(p_);
       for (std::size_t i = 0; i < gates_.size(); ++i) {
         Gate& g = gates_[i];
         if (g.kind == GateKind::kInput) continue;
-        const Seconds high{dt.value() * p[i]};
-        const Seconds low{dt.value() * (1.0 - p[i])};
+        const Seconds high{dt.value() * p_[i]};
+        const Seconds low{dt.value() * (1.0 - p_[i])};
         jobs_.push_back({&g.pull_up, stress, high, rest, low});
         jobs_.push_back({&g.pull_down, stress, low, rest, high});
       }
       break;
     }
     case LogicMode::kIdleVector: {
-      const std::vector<bool> v = evaluate(idle_vector);
+      evaluate_into(idle_vector, v_);
       for (std::size_t i = 0; i < gates_.size(); ++i) {
         Gate& g = gates_[i];
         if (g.kind == GateKind::kInput) continue;
-        jobs_.push_back({&g.pull_up, v[i] ? stress : rest, dt});
-        jobs_.push_back({&g.pull_down, v[i] ? rest : stress, dt});
+        jobs_.push_back({&g.pull_up, v_[i] ? stress : rest, dt});
+        jobs_.push_back({&g.pull_down, v_[i] ? rest : stress, dt});
       }
       break;
     }

@@ -90,9 +90,19 @@ class LogicNetlist {
     device::CompactBti pull_down;
   };
 
+  // Fill `p` / `v` in place, one entry per gate: the bodies of
+  // signal_probabilities() and evaluate().
+  void signal_probabilities_into(std::vector<double>& p) const;
+  void evaluate_into(const std::vector<bool>& input_vector,
+                     std::vector<bool>& v) const;
+
   std::vector<Gate> gates_;
   std::vector<GateId> inputs_;
-  std::vector<device::BtiJob> jobs_;  // age's batch, kept between calls
+  // age's batch and node values, kept between calls so that it allocates
+  // nothing after its first call.
+  std::vector<device::BtiJob> jobs_;
+  std::vector<double> p_;
+  std::vector<bool> v_;
 };
 
 /// A representative benchmark circuit: ISCAS-style c17 (6 NAND2) plus a

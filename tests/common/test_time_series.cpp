@@ -57,6 +57,27 @@ TEST(TimeSeries, LinearSampling) {
   // Clamped outside the range.
   EXPECT_DOUBLE_EQ(s.sample(Seconds{-1.0}), 0.0);
   EXPECT_DOUBLE_EQ(s.sample(Seconds{99.0}), 3.0);
+
+  // A repeated time is a step: inside the range the later sample wins.
+  TimeSeries step{"step", "V"};
+  step.append(Seconds{0.0}, 0.0);
+  step.append(Seconds{10.0}, 1.0);
+  step.append(Seconds{10.0}, 5.0);
+  step.append(Seconds{20.0}, 7.0);
+  EXPECT_DOUBLE_EQ(step.sample(Seconds{5.0}), 0.5);
+  EXPECT_DOUBLE_EQ(step.sample(Seconds{10.0}), 5.0);
+  EXPECT_DOUBLE_EQ(step.sample(Seconds{15.0}), 6.0);
+  EXPECT_DOUBLE_EQ(step.sample(Seconds{20.0}), 7.0);
+
+  // One sample is a constant.
+  TimeSeries one{"one", "V"};
+  one.append(Seconds{3.0}, 2.5);
+  for (const double t : {-1.0, 3.0, 99.0}) {
+    EXPECT_DOUBLE_EQ(one.sample(Seconds{t}), 2.5);
+  }
+  EXPECT_THROW(
+      (void)one.sample(Seconds{std::numeric_limits<double>::quiet_NaN()}),
+      Error);
 }
 
 TEST(TimeSeries, MinMax) {

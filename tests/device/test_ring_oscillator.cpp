@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace dh::device {
@@ -43,9 +45,11 @@ TEST(RingOscillator, LowerSupplySlows) {
 
 TEST(RingOscillator, InferDeltaVthRoundTrip) {
   const RingOscillator ro = make_ro();
-  for (const double dv : {0.005, 0.02, 0.05, 0.1}) {
+  const double overdrive0 =
+      ro.params().vdd.value() - ro.params().vth0.value();
+  for (const double dv : {0.0, 0.005, 0.02, 0.05, 0.1, 0.949 * overdrive0}) {
     const Hertz f = ro.frequency(Volts{dv});
-    EXPECT_NEAR(ro.infer_delta_vth(f).value(), dv, 1e-6);
+    EXPECT_NEAR(ro.infer_delta_vth(f).value(), dv, 1e-12) << dv;
   }
 }
 
@@ -53,6 +57,22 @@ TEST(RingOscillator, InferClampsAboveFreshFrequency) {
   const RingOscillator ro = make_ro();
   const Hertz above{ro.params().fresh_frequency.value() * 1.01};
   EXPECT_DOUBLE_EQ(ro.infer_delta_vth(above).value(), 0.0);
+  EXPECT_DOUBLE_EQ(
+      ro.infer_delta_vth(Hertz{std::numeric_limits<double>::infinity()})
+          .value(),
+      0.0);
+}
+
+TEST(RingOscillator, InferRejectsUnreadableFrequencies) {
+  const RingOscillator ro = make_ro();
+  const double overdrive0 =
+      ro.params().vdd.value() - ro.params().vth0.value();
+  const Hertz floor = ro.frequency(Volts{0.95 * overdrive0});
+  for (const double f :
+       {0.99 * floor.value(), 0.0, -1e6,
+        std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)ro.infer_delta_vth(Hertz{f}), Error) << f;
+  }
 }
 
 TEST(RingOscillator, RejectsInvalidConfigs) {

@@ -1,7 +1,7 @@
 // Per-quantum steps that must not allocate once their buffers are sized:
 // KorhonenSolver::step, AgingPdn::step, ThermalGrid::solve_steady,
-// SramArray::step and SystemSimulator::step; and SystemSimulator::run,
-// whose only allocations size its traces.
+// SramArray::step, LogicNetlist::age and SystemSimulator::step; and
+// SystemSimulator::run, whose only allocations size its traces.
 //
 // This binary replaces the global operator new with a counting one, so it
 // holds only these tests.
@@ -16,6 +16,7 @@
 #include "em/em_sensor.hpp"
 #include "em/korhonen.hpp"
 #include "em/material.hpp"
+#include "logic/logic_netlist.hpp"
 #include "pdn/aging_pdn.hpp"
 #include "sched/policy.hpp"
 #include "sched/system_sim.hpp"
@@ -123,6 +124,26 @@ TEST(AllocationFree, SramArrayStep) {
           << "boost " << boost_fraction;
     }
   }
+}
+
+TEST(AllocationFree, LogicNetlistAge) {
+  // After its first call in a mode, age reuses its batch and its node
+  // values: signal probabilities (kOperating) or the idle vector's
+  // evaluation (kIdleVector).
+  logic::LogicNetlist net = logic::make_c17_plus();
+  const std::vector<bool> idle = net.best_idle_vector();
+  net.age(logic::LogicMode::kOperating, Celsius{85.0}, hours(24.0));
+  net.age(logic::LogicMode::kIdleVector, Celsius{85.0}, hours(24.0), idle);
+  for (const logic::LogicMode mode :
+       {logic::LogicMode::kOperating, logic::LogicMode::kIdleVector,
+        logic::LogicMode::kActiveRecovery}) {
+    EXPECT_EQ(allocations_in([&] {
+                net.age(mode, Celsius{85.0}, hours(24.0), idle);
+              }),
+              0u)
+        << "mode " << static_cast<int>(mode);
+  }
+  EXPECT_GT(net.worst_dvth().value(), 0.0);
 }
 
 std::unique_ptr<sched::RecoveryPolicy> policy(std::size_t k) {

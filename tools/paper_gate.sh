@@ -4,21 +4,29 @@
 # Runs the 13 paper bench binaries single-threaded and byte-compares each
 # one's stdout, minus the `[pool] ... wall time` line, with the reference
 # in perfbench/ref/paper/<name>.txt. Then compares the table printed by
-# fig12_system_schedule with perfbench/ref/fig12_table.txt. The reference
-# files are only read. Any difference fails the test and prints a diff.
+# fig12_system_schedule with perfbench/ref/fig12_table.txt, and the
+# stdout of the six examples with tests/ref/examples/<name>.txt. The
+# reference files are only read. Any difference fails the test and prints
+# a diff.
 #
-# usage: paper_gate.sh <bench_bin_dir> <perfbench_ref_dir> <scratch_dir>
+# usage: paper_gate.sh <bench_bin_dir> <perfbench_ref_dir>
+#                      <examples_bin_dir> <examples_ref_dir> <scratch_dir>
 set -eu
 
 BIN_DIR="$1"
 REF_DIR="$2"
-SCRATCH="$3"
+EXAMPLES_BIN_DIR="$3"
+EXAMPLES_REF_DIR="$4"
+SCRATCH="$5"
 
 BENCHES="table1_bti_recovery fig4_bti_permanent fig5_em_stress_recovery
 fig6_em_early_recovery fig7_em_periodic fig9_assist_circuit
 fig10_load_size fig11_pdn_layers ablation_ac_frequency
 ablation_compact_models sram_recovery_boost logic_aging_sta
 em_population_ttf"
+
+EXAMPLES="quickstart iot_implant_lifetime manycore_dark_silicon
+pdn_em_protection assist_circuit_demo closed_loop_healing"
 
 rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
@@ -30,20 +38,28 @@ strip_pool_lines() {
 }
 
 failed=0
-for name in $BENCHES; do
-    if ! DH_THREADS=1 "$BIN_DIR/$name" > "$name.raw"; then
+
+# check <binary> <reference>: run the binary single-threaded and
+# byte-compare its stdout, minus the pool line, with the reference.
+check() {
+    name=$(basename "$1")
+    if ! DH_THREADS=1 "$1" > "$name.raw"; then
         echo "FAIL: $name exited with an error"
         failed=1
-        continue
+        return
     fi
     strip_pool_lines < "$name.raw" > "$name.txt"
-    if cmp -s "$name.txt" "$REF_DIR/paper/$name.txt"; then
+    if cmp -s "$name.txt" "$2"; then
         echo "ok:   $name"
     else
-        echo "FAIL: $name differs from $REF_DIR/paper/$name.txt"
-        diff "$REF_DIR/paper/$name.txt" "$name.txt" || true
+        echo "FAIL: $name differs from $2"
+        diff "$2" "$name.txt" || true
         failed=1
     fi
+}
+
+for name in $BENCHES; do
+    check "$BIN_DIR/$name" "$REF_DIR/paper/$name.txt"
 done
 
 if DH_THREADS=1 "$BIN_DIR/fig12_system_schedule" > fig12.raw; then
@@ -60,9 +76,13 @@ else
     failed=1
 fi
 
+for name in $EXAMPLES; do
+    check "$EXAMPLES_BIN_DIR/$name" "$EXAMPLES_REF_DIR/$name.txt"
+done
+
 if [ "$failed" -ne 0 ]; then
     exit 1
 fi
 cd /
 rm -rf "$SCRATCH"
-echo "PASS: every paper figure matches its reference"
+echo "PASS: every paper figure and example matches its reference"
