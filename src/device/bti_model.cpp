@@ -1,16 +1,15 @@
 #include "device/bti_model.hpp"
 
-#include <utility>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "device/calibration.hpp"
 
 namespace dh::device {
 
-BtiModel::BtiModel(BtiModelParams params)
-    : params_(params),
-      ensemble_(params.ensemble),
-      permanent_(params.permanent) {}
+BtiModel::BtiModel(const BtiModelParams& params)
+    : ensemble_(params.segment_weights),
+      permanent_(params.gen_rate_ref_v_per_s) {}
 
 BtiModel BtiModel::paper_calibrated() {
   return BtiModel{paper_calibrated_bti_params()};
@@ -18,6 +17,10 @@ BtiModel BtiModel::paper_calibrated() {
 
 void BtiModel::apply(const BtiCondition& condition, Seconds dt) {
   // Checked before the ensemble moves, so a rejected step changes nothing.
+  // A non-finite bias would make the shift NaN (NaN, +inf) or empty every
+  // trap (-inf).
+  DH_REQUIRE(std::isfinite(condition.gate_bias.value()),
+             "gate bias must be finite");
   PermanentComponent::require_valid_dt(dt);
   ensemble_.apply(condition, dt);
   permanent_.apply(condition, dt);
@@ -42,8 +45,9 @@ BtiBreakdown BtiModel::breakdown() const {
 
 double BtiModel::mobility_factor() const {
   // First-order mobility coupling: a fully-degraded gate stack loses a
-  // few percent of carrier mobility. theta is folded into the calibrated
-  // params via dvth_max; 0.30 per volt of Vth shift is a typical slope.
+  // few percent of carrier mobility. theta is folded into the calibration
+  // via the full-occupancy shift; 0.30 per volt of Vth shift is a typical
+  // slope.
   constexpr double kThetaPerVolt = 0.30;
   const double dvth = delta_vth().value();
   const double factor = 1.0 / (1.0 + kThetaPerVolt * dvth);

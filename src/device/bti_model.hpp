@@ -9,30 +9,26 @@
 
 namespace dh::device {
 
+/// What tools/calibrate_bti fits; every other value of the model is a
+/// constant in trap_ensemble.cpp or permanent.cpp.
 struct BtiModelParams {
-  TrapEnsembleParams ensemble;
-  PermanentComponentParams permanent;
+  TrapSegmentWeights segment_weights{};
+  // Precursor generation rate (V/s) at the reference stress condition.
+  double gen_rate_ref_v_per_s = 0.0;
 };
 
 class BtiModel {
  public:
-  explicit BtiModel(BtiModelParams params);
+  explicit BtiModel(const BtiModelParams& params);
 
   /// Model calibrated to the paper's Table I (see calibration.cpp for the
   /// fitted constants and the fitting procedure).
   [[nodiscard]] static BtiModel paper_calibrated();
 
   /// Advance the device state for `dt` under a constant condition. `dt`
-  /// must pass PermanentComponent::require_valid_dt.
+  /// must pass PermanentComponent::require_valid_dt and the gate bias
+  /// must be finite; otherwise throws dh::Error and changes nothing.
   void apply(const BtiCondition& condition, Seconds dt);
-
-  /// Convenience: run a stress phase then a recovery phase.
-  void stress(const BtiCondition& condition, Seconds duration) {
-    apply(condition, duration);
-  }
-  void recover(const BtiCondition& condition, Seconds duration) {
-    apply(condition, duration);
-  }
 
   void reset();
 
@@ -47,10 +43,7 @@ class BtiModel {
   /// first-order coupling to the interface-charge population.
   [[nodiscard]] double mobility_factor() const;
 
-  [[nodiscard]] const BtiModelParams& params() const { return params_; }
-
  private:
-  BtiModelParams params_;
   TrapEnsemble ensemble_;
   PermanentComponent permanent_;
 };

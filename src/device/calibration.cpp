@@ -20,53 +20,16 @@
 
 namespace dh::device {
 
-namespace {
-
-// Fitted recoverable-trap density (emission energy, eV). Segment edges sit
-// at the four recovery cutoffs; the top segment is kept *below* the 1 h
-// No. 4 emission cutoff (1.163 eV) so that a 1 h active accelerated
-// recovery empties every recoverable trap a 1 h stress fills — the Fig. 4
-// balanced-schedule behaviour. The gaps between segments keep the
-// dense segments clear of the neighbouring cutoff smear. The weights are the
-// numerically tuned values printed by tools/calibrate_bti.
-TrapDensity fitted_density() {
-  return TrapDensity{
-      .breakpoints = {0.40, 0.8337, 0.885, 0.9347, 1.000, 1.0896, 1.124,
-                      1.144},
+// The fitted values: the weights of the seven trap-density segments
+// (trap_ensemble.cpp holds their edges; the zero-weight segments are gaps)
+// and the precursor generation rate at the reference stress condition
+// (V/s). tools/calibrate_bti refits both starting from these.
+BtiModelParams paper_calibrated_bti_params() {
+  return BtiModelParams{
       .segment_weights = {0.002668, 0.0, 0.384616, 0.0, 0.013495, 0.0,
                           1.273589},
-  };
-}
-
-}  // namespace
-
-BtiModelParams paper_calibrated_bti_params() {
-  BtiModelParams p;
-  p.ensemble = TrapEnsembleParams{
-      .density = fitted_density(),
-      .tau0_capture_s = 1e-10,
-      .tau0_emission_s = 1e-10,
-      .v0_capture = 0.075,
-      .v0_emission = 0.075,
-      .v0_suppress = 0.075,
-      .delta_ce_ev = 0.4700,
-      .dvth_max = Volts{0.052},
-      .bins = 360,
-  };
-  p.permanent = PermanentComponentParams{
       .gen_rate_ref_v_per_s = 3.312e-7,
-      .gen_ref_bias = Volts{1.2},
-      .gen_ref_temperature = Celsius{110.0},
-      .gen_v0 = 0.1,
-      .gen_ea = ElectronVolts{0.80},
-      .p_max = Volts{0.060},
-      .k_lock_per_v_s = 0.041,
-      .anneal_tau0_s = 1.4e-8,
-      .anneal_ea = ElectronVolts{1.0},
-      .anneal_v0 = 0.075,
-      .lock_anneal_ratio = 1e-3,
   };
-  return p;
 }
 
 std::array<TableITarget, 4> table1_targets() {

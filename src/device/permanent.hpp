@@ -19,32 +19,23 @@
 // r_anneal is thermally activated and field-accelerated just like trap
 // emission, so only the combined high-T + negative-V condition anneals
 // precursors quickly.
+//
+// permanent.cpp holds the calibration as constants: the generation
+// reference condition, V0 and Ea, P_max, k_lock and the four anneal
+// constants. Only the generation rate at the reference condition is a
+// parameter, because tools/calibrate_bti fits it.
 #pragma once
 
 #include "device/bti_types.hpp"
 
 namespace dh::device {
 
-struct PermanentComponentParams {
-  // Generation under stress.
-  double gen_rate_ref_v_per_s = 2.55e-7;  // at the reference stress condition
-  Volts gen_ref_bias{1.2};
-  Celsius gen_ref_temperature{110.0};
-  double gen_v0 = 0.3;             // V per e-fold of generation acceleration
-  ElectronVolts gen_ea{0.80};      // generation activation energy
-  Volts p_max{0.040};              // saturation level of P_u + P_l
-  // Locking (precursor -> permanent), second order in P_u.
-  double k_lock_per_v_s = 0.041;
-  // Annealing of precursors under recovery.
-  double anneal_tau0_s = 1.4e-8;
-  ElectronVolts anneal_ea{1.0};
-  double anneal_v0 = 0.075;        // V per e-fold of anneal acceleration
-  double lock_anneal_ratio = 1e-3; // locked component anneals ~1000x slower
-};
-
 class PermanentComponent {
  public:
-  explicit PermanentComponent(PermanentComponentParams params);
+  /// `gen_rate_ref_v_per_s` is the precursor generation rate (V/s) at the
+  /// reference stress condition. Throws dh::Error unless it is finite and
+  /// non-negative.
+  explicit PermanentComponent(double gen_rate_ref_v_per_s);
 
   /// Advance by `dt` under `condition`. `dt` must pass require_valid_dt.
   void apply(const BtiCondition& condition, Seconds dt);
@@ -59,12 +50,8 @@ class PermanentComponent {
   [[nodiscard]] Volts locked() const { return Volts{pl_}; }
   [[nodiscard]] Volts total() const { return Volts{pu_ + pl_}; }
 
-  [[nodiscard]] const PermanentComponentParams& params() const {
-    return params_;
-  }
-
  private:
-  PermanentComponentParams params_;
+  double gen_rate_ref_v_per_s_;
   double pu_ = 0.0;  // annealable precursor population (V of Vth shift)
   double pl_ = 0.0;  // locked permanent population (V of Vth shift)
 };

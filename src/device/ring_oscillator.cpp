@@ -8,8 +8,6 @@ namespace dh::device {
 
 RingOscillator::RingOscillator(RingOscillatorParams params)
     : params_(params) {
-  DH_REQUIRE(params_.stages >= 3 && params_.stages % 2 == 1,
-             "ring oscillator needs an odd stage count >= 3");
   DH_REQUIRE(params_.vdd > params_.vth0,
              "supply must exceed the threshold voltage");
   DH_REQUIRE(params_.alpha >= 1.0 && params_.alpha <= 2.0,

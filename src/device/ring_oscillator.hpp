@@ -8,8 +8,9 @@
 
 namespace dh::device {
 
+// The stage count cancels out of every readout: the frequency is the fresh
+// one scaled by the alpha-power ratio.
 struct RingOscillatorParams {
-  int stages = 75;           // paper: 75-stage LUT-mapped RO
   Volts vdd{1.1};
   Volts vth0{0.35};
   double alpha = 1.3;        // velocity-saturation exponent

@@ -16,8 +16,15 @@
 // Over a constant-condition interval each bin relaxes analytically toward
 // its equilibrium occupancy, which makes the update unconditionally stable
 // for arbitrarily long steps.
+//
+// The trap density is piecewise constant over Ea, in seven segments.
+// trap_ensemble.cpp holds the calibration as constants: the segment
+// edges, the bin count, tau0, the three V0, delta_ce and the shift with
+// every trap occupied. Only the segment weights are a parameter, because
+// tools/calibrate_bti fits them.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -25,29 +32,15 @@
 
 namespace dh::device {
 
-/// Piecewise-constant trap density over emission activation energy.
-/// `breakpoints` has N+1 increasing entries (eV); `segment_weights` has N
-/// entries and is normalized to sum to 1 on construction.
-struct TrapDensity {
-  std::vector<double> breakpoints;
-  std::vector<double> segment_weights;
-};
-
-struct TrapEnsembleParams {
-  TrapDensity density;
-  double tau0_capture_s = 1e-10;   // capture attempt time
-  double tau0_emission_s = 1e-10;  // emission attempt time
-  double v0_capture = 0.075;       // V per e-fold of capture acceleration
-  double v0_emission = 0.075;      // V per e-fold of emission acceleration
-  double v0_suppress = 0.075;      // V per e-fold of emission suppression under stress
-  double delta_ce_ev = 0.3962;     // capture barrier excess over emission barrier
-  Volts dvth_max{0.052};           // Vth shift with every trap occupied
-  std::size_t bins = 240;
-};
+/// Relative trap density of each emission-energy segment; normalized to
+/// sum to 1 on construction.
+using TrapSegmentWeights = std::array<double, 7>;
 
 class TrapEnsemble {
  public:
-  explicit TrapEnsemble(TrapEnsembleParams params);
+  /// Throws dh::Error unless every weight is finite and non-negative and
+  /// their sum is positive.
+  explicit TrapEnsemble(const TrapSegmentWeights& segment_weights);
 
   /// Advance the ensemble for `dt` under a constant condition.
   void apply(const BtiCondition& condition, Seconds dt);
@@ -65,10 +58,7 @@ class TrapEnsemble {
   [[nodiscard]] double occupancy(std::size_t i) const;
   [[nodiscard]] std::size_t bin_count() const { return centers_.size(); }
 
-  [[nodiscard]] const TrapEnsembleParams& params() const { return params_; }
-
  private:
-  TrapEnsembleParams params_;
   std::vector<double> centers_;  // bin center emission energies (eV)
   std::vector<double> weights_;  // normalized bin weights (sum = 1)
   std::vector<double> occupancy_;

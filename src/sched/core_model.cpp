@@ -26,7 +26,6 @@ namespace {
 constexpr Volts kVdd{0.90};
 /// The critical-path ring oscillator that sets fmax.
 constexpr device::RingOscillatorParams kRo{
-    .stages = 75,
     .vdd = kVdd,
     .vth0 = Volts{0.32},
     .alpha = 1.3,

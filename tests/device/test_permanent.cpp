@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "device/calibration.hpp"
 
@@ -9,7 +11,8 @@ namespace dh::device {
 namespace {
 
 PermanentComponent make_pc() {
-  return PermanentComponent{paper_calibrated_bti_params().permanent};
+  return PermanentComponent{
+      paper_calibrated_bti_params().gen_rate_ref_v_per_s};
 }
 
 TEST(Permanent, FreshIsZero) {
@@ -64,7 +67,9 @@ TEST(Permanent, LockedComponentSurvivesDeepRecovery) {
 TEST(Permanent, SaturatesAtPmax) {
   PermanentComponent pc = make_pc();
   pc.apply(paper_conditions::accelerated_stress(), hours(10000.0));
-  EXPECT_LE(pc.total().value(), pc.params().p_max.value() * (1.0 + 1e-6));
+  // P_max, a constant in permanent.cpp.
+  constexpr double kPMaxV = 0.060;
+  EXPECT_LE(pc.total().value(), kPMaxV * (1.0 + 1e-6));
 }
 
 TEST(Permanent, ResetClearsState) {
@@ -91,9 +96,13 @@ TEST(Permanent, GenerationScalesWithTemperature) {
 }
 
 TEST(Permanent, InvalidParamsRejected) {
-  PermanentComponentParams p = paper_calibrated_bti_params().permanent;
-  p.p_max = Volts{0.0};
-  EXPECT_THROW(PermanentComponent{p}, Error);
+  // The generation rate is the one parameter; P_max > 0 is a static_assert.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double rate :
+       {-1e-9, kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(PermanentComponent{rate}, Error) << rate;
+  }
+  EXPECT_NO_THROW(PermanentComponent{0.0});
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "device/calibration.hpp"
 
@@ -9,7 +11,7 @@ namespace dh::device {
 namespace {
 
 TrapEnsemble make_ensemble() {
-  return TrapEnsemble{paper_calibrated_bti_params().ensemble};
+  return TrapEnsemble{paper_calibrated_bti_params().segment_weights};
 }
 
 TEST(TrapEnsemble, FreshStateIsEmpty) {
@@ -131,12 +133,25 @@ INSTANTIATE_TEST_SUITE_P(Biases, RecoveryBias,
                          ::testing::Values(0.0, -0.1, -0.2, -0.3));
 
 TEST(TrapEnsemble, DensityValidation) {
-  TrapEnsembleParams p = paper_calibrated_bti_params().ensemble;
-  p.density.breakpoints = {1.0, 0.5};  // not sorted
-  EXPECT_THROW(TrapEnsemble{p}, Error);
-  p = paper_calibrated_bti_params().ensemble;
-  p.density.segment_weights.pop_back();
-  EXPECT_THROW(TrapEnsemble{p}, Error);
+  // The segment weights are the one parameter; the segment edges are
+  // checked by static_assert.
+  const TrapSegmentWeights fitted =
+      paper_calibrated_bti_params().segment_weights;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {-0.1, kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    TrapSegmentWeights w = fitted;
+    w[2] = bad;
+    EXPECT_THROW(TrapEnsemble{w}, Error) << bad;
+  }
+  EXPECT_THROW(TrapEnsemble{TrapSegmentWeights{}}, Error);  // zero total
+  TrapSegmentWeights huge{};
+  huge.fill(std::numeric_limits<double>::max());  // the total overflows
+  EXPECT_THROW(TrapEnsemble{huge}, Error);
+  // One weight alone is a valid density.
+  TrapSegmentWeights one{};
+  one[6] = 1.0;
+  EXPECT_NO_THROW(TrapEnsemble{one});
 }
 
 }  // namespace

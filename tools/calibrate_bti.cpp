@@ -19,7 +19,7 @@ dh::device::BtiModelParams auto_fit() {
   BtiModelParams p = paper_calibrated_bti_params();
   const auto targets = table1_targets();
   const auto stress = paper_conditions::accelerated_stress();
-  // Indices of the tunable segments (segment 3 is the deliberate gap).
+  // Indices of the tunable segments (1, 3 and 5 are the zero-weight gaps).
   const std::size_t seg_for_cond[4] = {0, 2, 4, 6};
   for (int iter = 0; iter < 60; ++iter) {
     double m[4];
@@ -38,7 +38,7 @@ dh::device::BtiModelParams auto_fit() {
     }
     if (worst < 5e-5) break;
     // Segment weights track the per-condition increments.
-    auto& w = p.ensemble.density.segment_weights;
+    auto& w = p.segment_weights;
     for (int j = 0; j < 4; ++j) {
       const double tgt_inc = targets[j].model_fraction -
                              (j > 0 ? targets[j - 1].model_fraction : 0.0);
@@ -52,7 +52,7 @@ dh::device::BtiModelParams auto_fit() {
     const double perm_target = 1.0 - targets[3].model_fraction;
     const double perm_got = 1.0 - m[3];
     if (perm_got > 1e-4) {
-      p.permanent.gen_rate_ref_v_per_s *=
+      p.gen_rate_ref_v_per_s *=
           std::clamp(perm_target / perm_got, 0.7, 1.4);
     }
   }
@@ -67,11 +67,11 @@ int main() {
 
   const auto fitted = auto_fit();
   std::printf("fitted segment weights:");
-  for (const double w : fitted.ensemble.density.segment_weights) {
+  for (const double w : fitted.segment_weights) {
     std::printf(" %.6f", w);
   }
   std::printf("\nfitted gen_rate_ref_v_per_s: %.6e\n\n",
-              fitted.permanent.gen_rate_ref_v_per_s);
+              fitted.gen_rate_ref_v_per_s);
 
   const auto stress = paper_conditions::accelerated_stress();
   std::printf("== Table I protocol: 24h stress @ (%.2fV, %.0fC), 6h recovery\n",

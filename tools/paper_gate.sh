@@ -4,20 +4,24 @@
 # Runs the 13 paper bench binaries single-threaded and byte-compares each
 # one's stdout, minus the `[pool] ... wall time` line, with the reference
 # in perfbench/ref/paper/<name>.txt. Then compares the table printed by
-# fig12_system_schedule with perfbench/ref/fig12_table.txt, and the
-# stdout of the six examples with tests/ref/examples/<name>.txt. The
+# fig12_system_schedule with perfbench/ref/fig12_table.txt, the stdout
+# of the six examples with tests/ref/examples/<name>.txt and the stdout
+# of the three calibrate tools with tests/ref/tools/<name>.txt. The
 # reference files are only read. Any difference fails the test and prints
 # a diff.
 #
 # usage: paper_gate.sh <bench_bin_dir> <perfbench_ref_dir>
-#                      <examples_bin_dir> <examples_ref_dir> <scratch_dir>
+#                      <examples_bin_dir> <examples_ref_dir>
+#                      <tools_bin_dir> <tools_ref_dir> <scratch_dir>
 set -eu
 
 BIN_DIR="$1"
 REF_DIR="$2"
 EXAMPLES_BIN_DIR="$3"
 EXAMPLES_REF_DIR="$4"
-SCRATCH="$5"
+TOOLS_BIN_DIR="$5"
+TOOLS_REF_DIR="$6"
+SCRATCH="$7"
 
 BENCHES="table1_bti_recovery fig4_bti_permanent fig5_em_stress_recovery
 fig6_em_early_recovery fig7_em_periodic fig9_assist_circuit
@@ -27,6 +31,8 @@ em_population_ttf"
 
 EXAMPLES="quickstart iot_implant_lifetime manycore_dark_silicon
 pdn_em_protection assist_circuit_demo closed_loop_healing"
+
+TOOLS="calibrate_bti calibrate_em calibrate_circuit"
 
 rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
@@ -80,9 +86,13 @@ for name in $EXAMPLES; do
     check "$EXAMPLES_BIN_DIR/$name" "$EXAMPLES_REF_DIR/$name.txt"
 done
 
+for name in $TOOLS; do
+    check "$TOOLS_BIN_DIR/$name" "$TOOLS_REF_DIR/$name.txt"
+done
+
 if [ "$failed" -ne 0 ]; then
     exit 1
 fi
 cd /
 rm -rf "$SCRATCH"
-echo "PASS: every paper figure and example matches its reference"
+echo "PASS: every paper figure, example and calibrate tool matches its reference"
